@@ -19,10 +19,10 @@ results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .design import ShiftShareDesign, null_residuals
 from .errors import ConfigError, NumericDegeneracyError
@@ -34,6 +34,8 @@ from .schemes import SimulationScheme
 WARN_COND3 = 0.1
 WARN_HHI = 0.15
 WARN_STRENGTH = 1e-12
+
+_normal_cdf = np.frompyfunc(lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)), 1, 1)
 
 
 def compute_vj(S: np.ndarray) -> float:
@@ -132,7 +134,7 @@ def ks_to_standard_normal(values: np.ndarray) -> float:
     normal CDF, evaluated at the jump points from both sides."""
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.shape[0]
-    cdf = norm.cdf(x)
+    cdf = _normal_cdf(x).astype(np.float64)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))

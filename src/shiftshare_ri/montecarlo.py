@@ -25,9 +25,9 @@ import io
 import math
 import os
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .design import ShiftShareDesign
 from .errors import ConfigError, NumericDegeneracyError
@@ -447,7 +447,7 @@ def _run_method(design: ShiftShareDesign, method: MethodSpec, b: float, seed: in
             # no plug-in variance exists off the reduced form; the
             # null-imposed studentization is the only Wald available
             t = stat_t1(design, b, clustered=method.cluster_studentizer)
-        return bool(abs(t) > norm.ppf(1.0 - method.alpha / 2.0))
+        return bool(abs(t) > NormalDist().inv_cdf(1.0 - method.alpha / 2.0))
     spec = TestSpec(
         b=float(b),
         statistic=method.statistic,

@@ -18,12 +18,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import ShiftShareDesign, demean_shocks, null_residuals
+from .design import ShiftShareDesign, null_residuals
 from .errors import (
     ConfigError,
     DataValidationError,
@@ -75,6 +76,13 @@ class Sidedness(enum.Enum):
     EQUAL_TAIL = "equal-tail"
 
 
+def _as_int(value) -> int | None:
+    """``value`` as a plain int; None for bools and non-integers."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
 @dataclass(frozen=True)
 class TestSpec:
     """Everything that defines one randomization test.
@@ -119,12 +127,16 @@ class TestSpec:
     def __post_init__(self):
         if not np.isfinite(self.b):
             raise ConfigError(f"null value b must be finite, got {self.b}")
-        if not isinstance(self.L, int) or self.L < 1:
-            raise ConfigError(f"L must be a positive integer, got {self.L}")
+        L = _as_int(self.L)
+        if L is None or L < 1:
+            raise ConfigError(f"L must be a positive integer, got {self.L!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+        seed = _as_int(self.seed)
+        if seed is None or not 0 <= seed < 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "seed", seed)
         if self.cluster_studentizer and self.statistic is not Statistic.T1:
             raise ConfigError("cluster_studentizer applies to the T1 statistic only")
 
@@ -173,15 +185,24 @@ def psi(values, sidedness: Sidedness):
     raise ConfigError("equal-tail tests are decided per side; psi is undefined for them")
 
 
+def _tail_p(t_obs: float, values: np.ndarray, valid, sidedness: Sidedness, offset: int) -> float:
+    """(offset + #{psi(v) >= psi(t_obs)}) / (n + offset) over the n
+    values, with every value not marked ``valid`` counted as extreme.
+
+    Equal-tail tests report min(1, 2*min(p_right, p_left)); since both
+    scalings are exact, that is <= alpha exactly when one side's
+    p-value is <= alpha/2.
+    """
+    if sidedness is Sidedness.EQUAL_TAIL:
+        sides = (Sidedness.RIGHT_TAIL, Sidedness.LEFT_TAIL)
+        return min(1.0, 2.0 * min(_tail_p(t_obs, values, valid, s, offset) for s in sides))
+    extreme = np.where(valid, psi(values, sidedness) >= psi(t_obs, sidedness), True)
+    return (offset + int(np.count_nonzero(extreme))) / (values.shape[0] + offset)
+
+
 def p_value_from_stats(t_obs: float, t_sims: np.ndarray, sidedness: Sidedness) -> float:
     """Finite-draw p-value (1 + #{psi(sim) >= psi(obs)}) / (L + 1)."""
-    L = t_sims.shape[0]
-    if sidedness is Sidedness.EQUAL_TAIL:
-        p_right = (1 + int(np.count_nonzero(t_sims >= t_obs))) / (L + 1)
-        p_left = (1 + int(np.count_nonzero(-t_sims >= -t_obs))) / (L + 1)
-        return min(1.0, 2.0 * min(p_right, p_left))
-    count = int(np.count_nonzero(psi(t_sims, sidedness) >= psi(t_obs, sidedness)))
-    return (1 + count) / (L + 1)
+    return _tail_p(t_obs, t_sims, True, sidedness, 1)
 
 
 def reject_by_pvalue(t_obs: float, t_sims: np.ndarray, alpha: float, sidedness: Sidedness) -> bool:
@@ -252,42 +273,66 @@ def generate_draws(
     return G
 
 
-def _redrawn_row(design, scheme, seed, l, attempt, e_b):
-    """Rebuild draw l's generator and take its (attempt+1)-th draw."""
-    rng = draw_stream(seed, l)
-    for _ in range(attempt):
-        scheme.draw(rng, design.S, e_b, design.g, cluster_ids=design.cluster_ids)
-    return scheme.draw(rng, design.S, e_b, design.g, cluster_ids=design.cluster_ids)
-
-
 # ---------------------------------------------------------------------------
-# Statistic evaluation over a draw matrix
+# The null problem shared by the sampled, enumerated and Berger-Boos tests
 
 
-def _evaluate(statistic, a, G_eval, design, members):
-    """Return (values, valid) per row of G_eval."""
-    if statistic is Statistic.T0:
-        values = batch_t0(a, G_eval, design.N)
-        return values, np.isfinite(values)
-    if statistic is Statistic.T1:
-        if members is None:
-            num, den = batch_t1(a, G_eval)
+class _NullProblem:
+    """One test's null problem: the null residuals ``e_b``, their sector
+    sums ``a``, the cluster members of a clustered T1 studentizer, and
+    the observed statistic ``t_obs``, built once per (design, spec).
+
+    Degenerate-draw policy: a shock vector whose studentizer is
+    numerically zero has no valid statistic.  The sampled test
+    (:func:`simulate_null_statistics`) replaces such a draw from the
+    same draw's generator stream; exact enumeration and Berger-Boos keep
+    it and count it as at least as extreme as the observed statistic,
+    which can only make them more conservative.
+    """
+
+    def __init__(self, design: ShiftShareDesign, spec: TestSpec):
+        if spec.statistic is Statistic.T2 and not design.reduced_form:
+            raise NotReducedFormError("the T2 statistic needs a reduced-form design (X = Z)")
+        if spec.cluster_studentizer and design.cluster_ids is None:
+            raise DataValidationError("cluster_studentizer=True but the design has no cluster_ids")
+        if isinstance(spec.scheme, SignChange) and spec.scheme.by_cluster and design.cluster_ids is None:
+            raise DataValidationError("by_cluster sign changes need cluster_ids on the design")
+        self.design = design
+        self.spec = spec
+        self.e_b = null_residuals(design, spec.b).e_b
+        self.a = sector_residual_sums(design.S, self.e_b)
+        self.members = (
+            cluster_members(design.cluster_ids)
+            if (spec.cluster_studentizer and spec.statistic is Statistic.T1)
+            else None
+        )
+        values, valid = self.evaluate(design.g[None, :])
+        if not valid[0]:
+            raise ZeroVarianceError(
+                "the observed statistic has a numerically zero studentizer; "
+                "the null residuals are orthogonal to every shocked sector"
+            )
+        self.t_obs = float(values[0])
+
+    def evaluate(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return (values, valid) per row of the shock matrix G, rows
+        demeaned first when the spec asks for it; invalid values are
+        NaN."""
+        if self.spec.demean:
+            G = G - G.mean(axis=1, keepdims=True)
+        if self.spec.statistic is Statistic.T0:
+            values = batch_t0(self.a, G, self.design.N)
+            return values, np.isfinite(values)
+        if self.spec.statistic is Statistic.T1:
+            if self.members is None:
+                num, den = batch_t1(self.a, G)
+            else:
+                num, den = batch_t1_clustered(self.a, G, self.members)
         else:
-            num, den = batch_t1_clustered(a, G_eval, members)
-    else:
-        num, den = batch_t2(a, G_eval, design.S)
-    valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
-    values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
-    return values, valid
-
-
-def _check_spec_against_design(design: ShiftShareDesign, spec: TestSpec):
-    if spec.statistic is Statistic.T2 and not design.reduced_form:
-        raise NotReducedFormError("the T2 statistic needs a reduced-form design (X = Z)")
-    if spec.cluster_studentizer and design.cluster_ids is None:
-        raise DataValidationError("cluster_studentizer=True but the design has no cluster_ids")
-    if isinstance(spec.scheme, SignChange) and spec.scheme.by_cluster and design.cluster_ids is None:
-        raise DataValidationError("by_cluster sign changes need cluster_ids on the design")
+            num, den = batch_t2(self.a, G, self.design.S)
+        valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
+        values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
+        return values, valid
 
 
 def simulate_null_statistics(
@@ -299,42 +344,24 @@ def simulate_null_statistics(
     """Observed statistic plus its L simulated counterparts.
 
     Returns ``(t_obs, t_sims, n_degenerate_redraws)``.  Draws whose
-    studentizer is numerically zero are replaced from the same draw's
-    generator stream, up to 10 attempts each.
+    studentizer is numerically zero are replaced by the next draws of
+    the same draw's generator stream, up to 10 attempts each.
     """
-    _check_spec_against_design(design, spec)
-    e_b = null_residuals(design, spec.b).e_b
-    a = sector_residual_sums(design.S, e_b)
-    members = (
-        cluster_members(design.cluster_ids)
-        if (spec.cluster_studentizer and spec.statistic is Statistic.T1)
-        else None
-    )
-
+    null = _NullProblem(design, spec)
     if _raw_draws is None:
-        G_raw = generate_draws(design, spec.scheme, spec.L, spec.seed, b=spec.b, threads=threads)
-    else:
-        G_raw = _raw_draws
-    G_eval = G_raw - G_raw.mean(axis=1, keepdims=True) if spec.demean else G_raw
-    g_obs = demean_shocks(design.g) if spec.demean else design.g
+        _raw_draws = generate_draws(design, spec.scheme, spec.L, spec.seed, b=spec.b, threads=threads)
+    t_sims, valid = null.evaluate(_raw_draws)
 
-    obs_values, obs_valid = _evaluate(spec.statistic, a, g_obs[None, :], design, members)
-    if not obs_valid[0]:
-        raise ZeroVarianceError(
-            "the observed statistic has a numerically zero studentizer; "
-            "the null residuals are orthogonal to every shocked sector"
-        )
-    t_obs = float(obs_values[0])
+    def draw(rng):
+        return spec.scheme.draw(rng, design.S, null.e_b, design.g, cluster_ids=design.cluster_ids)
 
-    t_sims, valid = _evaluate(spec.statistic, a, G_eval, design, members)
     n_redraws = 0
     for l in np.flatnonzero(~valid):
-        for attempt in range(1, MAX_ATTEMPTS_PER_DRAW):
+        rng = draw_stream(spec.seed, int(l))
+        draw(rng)  # the degenerate draw itself
+        for _ in range(1, MAX_ATTEMPTS_PER_DRAW):
             n_redraws += 1
-            row = _redrawn_row(design, spec.scheme, spec.seed, int(l), attempt, e_b)
-            if spec.demean:
-                row = row - row.mean()
-            value, ok = _evaluate(spec.statistic, a, row[None, :], design, members)
+            value, ok = null.evaluate(draw(rng)[None, :])
             if ok[0]:
                 t_sims[l] = value[0]
                 break
@@ -342,7 +369,7 @@ def simulate_null_statistics(
             raise DegenerateDrawError(
                 f"draw {int(l)}: studentizer degenerate after {MAX_ATTEMPTS_PER_DRAW} attempts"
             )
-    return t_obs, t_sims, n_redraws
+    return null.t_obs, t_sims, n_redraws
 
 
 def ri_test(
@@ -390,16 +417,8 @@ def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestRe
     studentizer are counted as extreme, which can only make the test
     more conservative.
     """
-    _check_spec_against_design(design, spec)
+    null = _NullProblem(design, spec)
     scheme = spec.scheme
-    e_b = null_residuals(design, spec.b).e_b
-    a = sector_residual_sums(design.S, e_b)
-    members = (
-        cluster_members(design.cluster_ids)
-        if (spec.cluster_studentizer and spec.statistic is Statistic.T1)
-        else None
-    )
-
     if isinstance(scheme, SignChange):
         if scheme.by_cluster:
             uniq, inverse = np.unique(design.cluster_ids, return_inverse=True)
@@ -426,35 +445,11 @@ def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestRe
     else:
         raise ConfigError("exact enumeration supports sign-change and permutation schemes only")
 
-    if spec.demean:
-        G = G - G.mean(axis=1, keepdims=True)
-        g_obs = demean_shocks(design.g)
-    else:
-        g_obs = design.g
-
-    obs_values, obs_valid = _evaluate(spec.statistic, a, g_obs[None, :], design, members)
-    if not obs_valid[0]:
-        raise ZeroVarianceError("the observed statistic has a numerically zero studentizer")
-    t_obs = float(obs_values[0])
-
-    values, valid = _evaluate(spec.statistic, a, G, design, members)
-
-    def side_p(sidedness):
-        pv = psi(values, sidedness)
-        pv = np.where(valid, pv, np.inf)
-        return float(np.count_nonzero(pv >= psi(t_obs, sidedness))) / size
-
-    if spec.sidedness is Sidedness.EQUAL_TAIL:
-        p_right = side_p(Sidedness.RIGHT_TAIL)
-        p_left = side_p(Sidedness.LEFT_TAIL)
-        p = min(1.0, 2.0 * min(p_right, p_left))
-        reject = p_right <= spec.alpha / 2 or p_left <= spec.alpha / 2
-    else:
-        p = side_p(spec.sidedness)
-        reject = p <= spec.alpha
+    values, valid = null.evaluate(G)
+    p = _tail_p(null.t_obs, values, valid, spec.sidedness, 0)
     values.flags.writeable = False
     return RITestResult(
-        t_obs=t_obs, t_sims=values, p_value=p, reject=bool(reject), n_degenerate_redraws=0
+        t_obs=null.t_obs, t_sims=values, p_value=p, reject=p <= spec.alpha, n_degenerate_redraws=0
     )
 
 
@@ -486,43 +481,17 @@ def berger_boos_test(
         raise ConfigError(f"gamma must lie in [0, 1), got {gamma}")
     if grid_size < 2:
         raise ConfigError(f"grid_size must be at least 2, got {grid_size}")
-    _check_spec_against_design(design, spec)
-
-    e_b = null_residuals(design, spec.b).e_b
-    a = sector_residual_sums(design.S, e_b)
-    members = (
-        cluster_members(design.cluster_ids)
-        if (spec.cluster_studentizer and spec.statistic is Statistic.T1)
-        else None
-    )
-    g_obs = demean_shocks(design.g) if spec.demean else design.g
-    obs_values, obs_valid = _evaluate(spec.statistic, a, g_obs[None, :], design, members)
-    if not obs_valid[0]:
-        raise ZeroVarianceError("the observed statistic has a numerically zero studentizer")
-    t_obs = float(obs_values[0])
+    null = _NullProblem(design, spec)
 
     kappa = np.empty((spec.L, design.J))
     for l in range(spec.L):
         kappa[l] = spec.scheme.signs(draw_stream(spec.seed, l), design.J, design.cluster_ids)
 
     grid = np.unique(np.linspace(m_lo, m_hi, grid_size)) if m_hi > m_lo else np.array([m_lo])
-    worst = 0.0
-    for m in grid:
-        G = kappa * (design.g - m)[None, :] + m
-        if spec.demean:
-            G = G - G.mean(axis=1, keepdims=True)
-        values, valid = _evaluate(spec.statistic, a, G, design, members)
-        if spec.sidedness is Sidedness.EQUAL_TAIL:
-            pr = np.where(valid, values, np.inf)
-            pl = np.where(valid, -values, np.inf)
-            p_right = (1 + int(np.count_nonzero(pr >= t_obs))) / (spec.L + 1)
-            p_left = (1 + int(np.count_nonzero(pl >= -t_obs))) / (spec.L + 1)
-            p = min(1.0, 2.0 * min(p_right, p_left))
-        else:
-            pv = np.where(valid, psi(values, spec.sidedness), np.inf)
-            count = int(np.count_nonzero(pv >= psi(t_obs, spec.sidedness)))
-            p = (1 + count) / (spec.L + 1)
-        worst = max(worst, p)
+    worst = max(
+        _tail_p(null.t_obs, *null.evaluate(kappa * (design.g - m)[None, :] + m), spec.sidedness, 1)
+        for m in grid
+    )
     return min(1.0, worst + gamma)
 
 

@@ -155,11 +155,3 @@ class Permutation(SimulationScheme):
             np.full(J, float(np.mean(g**4))),
         )
 
-
-def draw_shocks(scheme, S, e_b, g, rng, cluster_ids=None) -> np.ndarray:
-    """Draw one simulated shock vector from ``scheme``.
-
-    Thin functional wrapper over ``scheme.draw``; deterministic given
-    the generator state.
-    """
-    return scheme.draw(rng, S, e_b, g, cluster_ids=cluster_ids)

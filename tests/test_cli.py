@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftshare_ri
 from shiftshare_ri.cli import main
 
 
@@ -282,3 +285,13 @@ def test_console_script_installed(data):
         capture_output=True, text=True,
     )
     assert inproc.stdout == proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(shiftshare_ri.__file__).resolve().parents[1])
+    code = "import sys, shiftshare_ri.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

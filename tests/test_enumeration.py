@@ -38,6 +38,16 @@ def test_sign_change_group_j2_hand_case():
     assert res_r.p_value == pytest.approx(0.25)
 
 
+def test_degenerate_group_element_counts_as_extreme():
+    # a = (3, 1), g = (2, 2), m = 1: kappa = (-1, -1) gives g* = 0, whose
+    # studentizer vanishes; that element stays in the group and counts
+    # as extreme, next to the observed statistic itself
+    d = identity_design([3.0, 1.0], [2.0, 2.0])
+    res = exact_enumeration_test(d, spec_enum(scheme=SignChange(m=1.0)))
+    assert np.count_nonzero(np.isnan(res.t_sims)) == 1
+    assert res.p_value == 0.5
+
+
 def test_permutation_group_j3_matches_brute_force():
     d = identity_design([1.0, 4.0, 2.0], [0.3, -0.7, 1.1], X=[1.0, 1.0, 1.0])
     res = exact_enumeration_test(d, spec_enum(scheme=Permutation()))

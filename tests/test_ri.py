@@ -105,6 +105,14 @@ def test_spec_validation():
         spec_t1(b=np.inf)
     with pytest.raises(ConfigError):
         spec_t1(statistic=Statistic.T0, cluster_studentizer=True)
+    for not_an_int in (True, False, 9.0):
+        with pytest.raises(ConfigError):
+            spec_t1(L=not_an_int)
+        with pytest.raises(ConfigError):
+            spec_t1(seed=not_an_int)
+    spec = spec_t1(L=np.int64(49), seed=np.uint64(2**63))
+    assert (spec.L, spec.seed) == (49, 2**63)
+    assert type(spec.L) is int and type(spec.seed) is int
 
 
 def test_generate_draws_thread_count_does_not_change_results():

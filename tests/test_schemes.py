@@ -9,7 +9,6 @@ from shiftshare_ri import (
     Permutation,
     RecentredBootstrap,
     SignChange,
-    draw_shocks,
 )
 
 
@@ -94,7 +93,7 @@ def test_known_distribution_receives_context():
 
     S = np.eye(3)
     e_b = np.array([1.0, 2.0, 3.0])
-    draw_shocks(KnownDistribution(sampler), S, e_b, np.ones(3), np.random.default_rng(6))
+    KnownDistribution(sampler).draw(np.random.default_rng(6), S, e_b, np.ones(3))
     assert seen["S"] is S and seen["e_b"] is e_b
 
 
