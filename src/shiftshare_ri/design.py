@@ -9,6 +9,7 @@ construction and re-checked against its definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,10 @@ class ShiftShareDesign:
     cluster_ids : ndarray of int, shape (J,), optional
         Shock-cluster labels for clustered studentization and
         cluster-coherent simulation schemes.
+    gram : ndarray, shape (J, J)
+        Read-only exposure Gram matrix ``S' S``, computed on first use
+        and cached; it lets the T2 statistic be evaluated at sector
+        level, without N-length simulated instruments.
     unit_labels, sector_labels : tuple of str, optional
         Identifiers carried through from ingestion, used for error
         reporting and round-trip serialization.
@@ -120,6 +125,13 @@ class ShiftShareDesign:
     @property
     def J(self) -> int:
         return self.S.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        # S is read-only after from_arrays, so the cache cannot go stale
+        K = self.S.T @ self.S
+        K.flags.writeable = False
+        return K
 
     def __post_init__(self):
         for name in ("Y", "X", "g", "Z"):

@@ -117,9 +117,10 @@ def prop3_conditions(
     N = design.N
     vj = compute_vj(design.S)
 
-    Zs = G @ design.S.T
-    W = Zs @ design.S
-    strength = float((Zs**2).sum(axis=1).mean()) / N
+    # With K = S'S: W = S'(S g*) = K g* and sum_i (s_i'g*)^2 = g*'K g*,
+    # so nothing of length N is built per draw.
+    W = G @ design.gram
+    strength = float((W * G).sum(axis=1).mean()) / N
     # Cross term: the sector double sum collapses to 2 a_j w_j with
     # w = S'(S g*); rate N/sqrt(v_J).
     cross_raw = np.abs((2.0 * a[None, :] * W * G**2).sum(axis=1)) / vj

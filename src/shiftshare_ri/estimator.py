@@ -11,7 +11,10 @@ simulated shock vectors cheap: ``a`` is fixed, only the shocks move.
 
 Batched kernels accept an (L, J) matrix of shock draws and return the
 numerator and studentizer per draw; division and degenerate-draw
-handling are left to the caller.
+handling are left to the caller.  The T2 kernel also needs the simulated
+instrument Z* = S g*, but only through ``sum Z*^2`` and ``S'Z*``, both
+of which it takes from the J x J Gram matrix ``S'S``: its cost is
+O(L J^2) and it never builds an (L, N) matrix.
 """
 
 from __future__ import annotations
@@ -198,24 +201,35 @@ def batch_t1_clustered(
     return num, den
 
 
+def _t2_gram(a: np.ndarray, G: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_t2` given the exposure Gram matrix ``K = S'S``.
+
+    With Z* = S g*, ``sum Z*^2 = g*'K g*`` and ``S'Z* = K g*``, so every
+    term is a J-vector per draw: O(L J^2) work and no (L, N) temporary.
+    A draw whose simulated instrument has no positive squared norm gets
+    studentizer 0 (invalid).
+    """
+    num = G @ a
+    KG = G @ K
+    ssq = (KG * G).sum(axis=1)
+    safe = np.where(ssq > 0, ssq, 1.0)
+    a_tilde = a[None, :] - (num / safe)[:, None] * KG
+    den = np.sqrt(((a_tilde * G) ** 2).sum(axis=1))
+    den = np.where(ssq > 0, den, 0.0)
+    return num, den
+
+
 def batch_t2(a: np.ndarray, G: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate-studentized statistic for reduced-form designs.
 
     Per draw g*: with Z* = S g*, the numerator is sum_i Z*_i e_b[i] =
     sum_j a_j g*_j; the studentizer rebuilds plug-in residuals by
     partialling Z* out of e_b, which at sector level is
-    a~ = a - (num / sum Z*^2) * S'Z*.
+    a~ = a - (num / sum Z*^2) * S'Z*.  Both Z* terms are evaluated
+    through the Gram matrix S'S (see :func:`_t2_gram`); callers holding
+    a design pass ``design.gram`` to ``_t2_gram`` to reuse it.
     """
-    num = G @ a
-    Zs = G @ S.T
-    ssq = (Zs * Zs).sum(axis=1)
-    W = Zs @ S
-    safe = np.where(ssq > 0, ssq, 1.0)
-    delta = num / safe
-    a_tilde = a[None, :] - delta[:, None] * W
-    den = np.sqrt(((a_tilde * G) ** 2).sum(axis=1))
-    den = np.where(ssq > 0, den, 0.0)
-    return num, den
+    return _t2_gram(a, G, S.T @ S)
 
 
 def _scalar(num: np.ndarray, den: np.ndarray, what: str) -> float:
@@ -258,5 +272,5 @@ def stat_t2(design: ShiftShareDesign, b: float) -> float:
     if not design.reduced_form:
         raise NotReducedFormError("T2 is defined for reduced-form designs (X = Z) only")
     a = sector_residual_sums(design.S, null_residuals(design, b).e_b)
-    num, den = batch_t2(a, design.g[None, :], design.S)
+    num, den = _t2_gram(a, design.g[None, :], design.gram)
     return _scalar(num, den, "T2")

@@ -38,7 +38,7 @@ from .estimator import (
     batch_t0,
     batch_t1,
     batch_t1_clustered,
-    batch_t2,
+    _t2_gram,
     cluster_members,
     sector_residual_sums,
 )
@@ -54,6 +54,10 @@ MAX_ATTEMPTS_PER_DRAW = 10
 _CHUNK = 256
 
 ENUMERATION_LIMIT = 2**20
+
+# Exact enumeration evaluates the group this many elements at a time, so
+# its temporaries stay a few MB however large the group is.
+_ENUM_BLOCK = 2**14
 
 
 class Statistic(enum.Enum):
@@ -329,7 +333,7 @@ class _NullProblem:
             else:
                 num, den = batch_t1_clustered(self.a, G, self.members)
         else:
-            num, den = batch_t2(self.a, G, self.design.S)
+            num, den = _t2_gram(self.a, G, self.design.gram)
         valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
         values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
         return values, valid
@@ -399,20 +403,15 @@ def ri_test(
 # Exact enumeration
 
 
-def _sign_patterns(n: int) -> np.ndarray:
-    """All 2^n sign vectors; the final row is all +1 (the identity)."""
-    k = np.arange(2**n, dtype=np.int64)
-    bits = (k[:, None] >> np.arange(n)[None, :]) & 1
-    return (bits * 2 - 1).astype(np.float64)
-
-
 def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestResult:
     """Enumerate the statistic over the whole transformation group.
 
     Supported schemes: sign changes (2^J elements, or 2^C with
-    by_cluster) and permutations (J! elements).  The p-value is the
-    fraction of group elements at least as extreme as the observed
-    statistic; the identity element makes it strictly positive.  The
+    by_cluster) and permutations (J! elements), evaluated in blocks of
+    ``_ENUM_BLOCK`` elements.  The p-value is the fraction of group
+    elements at least as extreme as the identity element, whose value
+    from the same evaluation is reported as ``t_obs``; the identity
+    therefore always counts and the p-value is strictly positive.  The
     decision is ``p <= alpha``.  Group elements with a degenerate
     studentizer are counted as extreme, which can only make the test
     more conservative.
@@ -431,25 +430,45 @@ def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestRe
             raise EnumerationSizeError(
                 f"sign-change group has 2^{n_flip} elements, over the 2^20 limit"
             )
-        kappa = _sign_patterns(n_flip)[:, inverse]
-        G = kappa * (design.g - scheme.m)[None, :] + scheme.m
-        G[-1] = design.g
+        shifts = np.arange(n_flip)
+        centred = design.g - scheme.m
+        identity = size - 1  # all signs +1
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            k = np.arange(lo, hi, dtype=np.int64)
+            kappa = (((k[:, None] >> shifts) & 1) * 2.0 - 1.0)[:, inverse]
+            G = kappa * centred + scheme.m
+            if hi == size:
+                G[-1] = design.g  # (g - m) + m need not be bit-equal to g
+            return G
+
     elif isinstance(scheme, Permutation):
         size = math.factorial(design.J)
         if size > ENUMERATION_LIMIT:
             raise EnumerationSizeError(
                 f"permutation group has {design.J}! elements, over the 2^20 limit"
             )
-        perms = np.array(list(itertools.permutations(range(design.J))), dtype=np.intp)
-        G = design.g[perms]
+        perms = itertools.permutations(range(design.J))
+        identity = 0  # permutations() starts from the identity
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            return design.g[np.array(list(itertools.islice(perms, hi - lo)), dtype=np.intp)]
+
     else:
         raise ConfigError("exact enumeration supports sign-change and permutation schemes only")
 
-    values, valid = null.evaluate(G)
-    p = _tail_p(null.t_obs, values, valid, spec.sidedness, 0)
+    values = np.empty(size)
+    valid = np.empty(size, dtype=bool)
+    for lo in range(0, size, _ENUM_BLOCK):
+        hi = min(lo + _ENUM_BLOCK, size)
+        values[lo:hi], valid[lo:hi] = null.evaluate(block(lo, hi))
+    # The identity's own value, not null.t_obs from a one-row evaluation,
+    # which can differ from it in the last bits and then fail to count.
+    t_obs = float(values[identity])
+    p = _tail_p(t_obs, values, valid, spec.sidedness, 0)
     values.flags.writeable = False
     return RITestResult(
-        t_obs=null.t_obs, t_sims=values, p_value=p, reject=p <= spec.alpha, n_degenerate_redraws=0
+        t_obs=t_obs, t_sims=values, p_value=p, reject=p <= spec.alpha, n_degenerate_redraws=0
     )
 
 

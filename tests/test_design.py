@@ -122,3 +122,12 @@ def test_null_residuals_requires_finite_b():
 def test_dimension_properties():
     d = make_design(seed=11, N=14, J=6)
     assert (d.N, d.J) == (14, 6)
+
+
+def test_gram_is_cached_read_only_exposure_cross_product():
+    d = make_design(seed=12, N=15, J=6)
+    K = d.gram
+    npt.assert_array_equal(K, d.S.T @ d.S)
+    assert K.shape == (6, 6)
+    assert not K.flags.writeable
+    assert d.gram is K

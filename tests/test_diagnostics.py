@@ -103,6 +103,24 @@ def test_prop3_single_exposure_reductions():
     assert quad == pytest.approx(np.mean((G**4).sum(axis=1)) / N**2, rel=1e-10)
 
 
+def test_prop3_matches_instrument_form():
+    # the sector-level (Gram) evaluation against the direct formulas on
+    # the (n_draws, N) simulated instruments Z* = G S'
+    for seed, scheme in ((21, IIDNormal()), (22, SignChange()), (23, Permutation())):
+        d = make_design(seed=seed, N=40, J=9)
+        b = 0.2
+        G = generate_draws(d, scheme, 300, seed=seed, b=b)
+        a = sector_residual_sums(d.S, d.Y - b * d.X)
+        N, vj = d.N, compute_vj(d.S)
+        Zs = G @ d.S.T
+        W = Zs @ d.S
+        strength_ref = (Zs**2).sum(axis=1).mean() / N
+        cross_ref = np.abs((2.0 * a * W * G**2).sum(axis=1)).mean() / vj / (N / np.sqrt(vj))
+        quad_ref = ((W**2) * G**2).sum(axis=1).mean() / vj / (N**2 / vj)
+        got = prop3_conditions(d, b, scheme, n_draws=300, seed=seed)
+        npt.assert_allclose(got, (strength_ref, cross_ref, quad_ref), rtol=1e-12)
+
+
 def test_prop3_strength_near_one_for_unit_normal_identity():
     d = identity_design(np.arange(1.0, 9.0), np.zeros(8) + 0.5, X=np.ones(8))
     strength, _, _ = prop3_conditions(d, 0.0, IIDNormal(), n_draws=2000, seed=3)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import identity_design, make_design
+from shiftshare_ri import ri
 from shiftshare_ri import (
     ConfigError,
     EnumerationSizeError,
@@ -16,6 +17,7 @@ from shiftshare_ri import (
     TestSpec,
     exact_enumeration_test,
 )
+from shiftshare_ri.montecarlo import DGPSpec, DirichletRows, generate_dataset
 
 
 def spec_enum(**kw):
@@ -149,3 +151,73 @@ def test_equal_tail_enumeration_decision():
 def test_enumeration_reports_no_redraws():
     d = make_design(seed=10, N=9, J=5)
     assert exact_enumeration_test(d, spec_enum()).n_degenerate_redraws == 0
+
+
+def _unblocked_group_values(design, spec):
+    """Statistic over the whole group from one evaluation of the full
+    (|group|, J) shock matrix, built element by element; returns
+    (values, valid, index of the identity element)."""
+    null = ri._NullProblem(design, spec)
+    scheme = spec.scheme
+    if isinstance(scheme, Permutation):
+        G = design.g[np.array(list(itertools.permutations(range(design.J))))]
+        identity = 0
+    else:
+        labels = design.cluster_ids if scheme.by_cluster else np.arange(design.J)
+        _, inverse = np.unique(labels, return_inverse=True)
+        n = int(inverse.max()) + 1
+        # element k puts sign +1 on flip unit i when bit i of k is set
+        kappa = np.array(
+            [[1.0 if (k >> i) & 1 else -1.0 for i in range(n)] for k in range(2**n)]
+        )[:, inverse]
+        G = kappa * (design.g - scheme.m) + scheme.m
+        G[-1] = design.g
+        identity = G.shape[0] - 1
+    values, valid = null.evaluate(G)
+    return values, valid, identity
+
+
+@pytest.mark.parametrize("block", [4, 5])
+@pytest.mark.parametrize(
+    "J, cluster_ids, kw",
+    [
+        (7, None, dict()),
+        (7, None, dict(sidedness=Sidedness.RIGHT_TAIL, demean=True)),
+        (6, None, dict(scheme=SignChange(m=0.3), statistic=Statistic.T2)),
+        (7, [2, 0, 1, 0, 2, 1, 1], dict(scheme=SignChange(by_cluster=True))),
+        (7, [2, 0, 1, 0, 2, 1, 1], dict(scheme=SignChange(m=-0.2, by_cluster=True), statistic=Statistic.T0)),
+        (3, None, dict(scheme=Permutation())),
+        (5, None, dict(scheme=Permutation(), sidedness=Sidedness.LEFT_TAIL)),
+    ],
+)
+def test_blocked_enumeration_matches_unblocked(monkeypatch, block, J, cluster_ids, kw):
+    cid = None if cluster_ids is None else np.array(cluster_ids)
+    d = make_design(seed=40 + J, N=16, J=J, cluster_ids=cid)
+    spec = spec_enum(**kw)
+    values, valid, identity = _unblocked_group_values(d, spec)
+    monkeypatch.setattr(ri, "_ENUM_BLOCK", block)
+    res = exact_enumeration_test(d, spec)
+    assert res.t_sims.shape[0] > block  # several blocks, the last one partial or full
+    npt.assert_allclose(res.t_sims, values, rtol=1e-12)
+    npt.assert_array_equal(np.isnan(res.t_sims), ~valid)
+    assert res.t_obs == res.t_sims[identity]
+    assert res.t_obs == pytest.approx(values[identity], rel=1e-12)
+    assert res.p_value == ri._tail_p(values[identity], values, valid, spec.sidedness, 0)
+
+
+def test_identity_always_counted_against_its_own_value():
+    # the observed value used to come from a separate one-row evaluation,
+    # a few ulps off the identity row of the group evaluation, so the
+    # identity could go uncounted and p could reach 0 (e.g. seed 2, J = 6,
+    # T2, two-sided); with m = 0 the mirror element -g ties it exactly
+    for s in range(60):
+        for J in (6, 10, 14):
+            dgp = DGPSpec(N=40 + s, J=J, exposure_design=DirichletRows(1.0))
+            d, _ = generate_dataset(dgp, s)
+            for statistic in Statistic:
+                for sidedness in (Sidedness.TWO_SIDED_ABS, Sidedness.RIGHT_TAIL, Sidedness.LEFT_TAIL):
+                    res = exact_enumeration_test(
+                        d, spec_enum(b=5.0, statistic=statistic, sidedness=sidedness)
+                    )
+                    floor = 2 if sidedness is Sidedness.TWO_SIDED_ABS else 1
+                    assert res.p_value >= floor / 2**J, (s, J, statistic, sidedness)

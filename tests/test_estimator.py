@@ -20,6 +20,7 @@ from shiftshare_ri import (
     variance_plugin,
 )
 from shiftshare_ri.estimator import (
+    _t2_gram,
     batch_t0,
     batch_t1,
     batch_t1_clustered,
@@ -262,3 +263,51 @@ def test_t0_kernel_scales_linearly():
     base = batch_t0(a, G, 10)
     for c in (1e-3, 7.0, 1e3):
         npt.assert_allclose(batch_t0(a, c * G, 10), c * base, rtol=1e-12)
+
+
+def _t2_via_instruments(a, G, S):
+    """T2 numerator and studentizer through the (L, N) simulated
+    instruments Z* = S g*, the direct form of the sector-level kernel."""
+    num = G @ a
+    Zs = G @ S.T
+    ssq = (Zs * Zs).sum(axis=1)
+    W = Zs @ S
+    safe = np.where(ssq > 0, ssq, 1.0)
+    a_tilde = a[None, :] - (num / safe)[:, None] * W
+    den = np.sqrt(((a_tilde * G) ** 2).sum(axis=1))
+    return num, np.where(ssq > 0, den, 0.0)
+
+
+def test_t2_gram_kernel_matches_instrument_form():
+    rng = np.random.default_rng(81)
+    for N, J, L in ((13, 7, 40), (200, 30, 64), (60, 90, 25)):
+        a = rng.normal(size=J)
+        G = rng.normal(size=(L, J))
+        S = rng.dirichlet(np.ones(J), size=N)
+        num_ref, den_ref = _t2_via_instruments(a, G, S)
+        num, den = _t2_gram(a, G, S.T @ S)
+        npt.assert_allclose(num, num_ref, rtol=1e-12)
+        npt.assert_allclose(den, den_ref, rtol=1e-12)
+        num_b, den_b = batch_t2(a, G, S)
+        npt.assert_array_equal(num_b, num)
+        npt.assert_array_equal(den_b, den)
+
+
+def test_t2_gram_kernel_degenerate_draw_has_zero_studentizer():
+    # two identical exposure columns and g* = e_1 - e_2 give S g* = 0
+    # exactly: the re-estimated coefficient is undefined, so the draw
+    # must come out invalid (den == 0), as in the instrument form
+    rng = np.random.default_rng(82)
+    N, J = 40, 6
+    S = rng.dirichlet(np.ones(J), size=N)
+    S[:, 1] = S[:, 0]
+    a = rng.normal(size=J)
+    G = rng.normal(size=(3, J))
+    G[1] = 0.0
+    G[1, 0], G[1, 1] = 1.0, -1.0
+    assert np.all(S @ G[1] == 0.0)
+    num, den = _t2_gram(a, G, S.T @ S)
+    assert den[1] == 0.0
+    assert np.all(den[[0, 2]] > 0)
+    _, den_ref = _t2_via_instruments(a, G, S)
+    assert den_ref[1] == 0.0

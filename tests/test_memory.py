@@ -1,0 +1,32 @@
+"""Memory bounds: the T2 engine and exact enumeration never build an
+(L, N) or a (|group|, J) float64 matrix."""
+
+import tracemalloc
+
+from conftest import make_design
+from shiftshare_ri import SignChange, Statistic, TestSpec, exact_enumeration_test, ri_test
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_t2_test_peaks_below_one_draws_by_units_matrix():
+    N, J, L = 3000, 200, 999
+    d = make_design(seed=1, N=N, J=J)
+    spec = TestSpec(b=0.0, statistic=Statistic.T2, scheme=SignChange(), L=L, seed=3)
+    ri_test(d, spec)  # first call computes the cached Gram matrix
+    assert _peak_bytes(lambda: ri_test(d, spec)) < 8 * L * N
+
+
+def test_sign_change_enumeration_peaks_below_one_group_by_sectors_matrix():
+    J = 18
+    d = make_design(seed=2, N=60, J=J)
+    spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=1)
+    exact_enumeration_test(d, spec)
+    assert _peak_bytes(lambda: exact_enumeration_test(d, spec)) < 8 * 2**J * J
