@@ -74,7 +74,7 @@ def _add_output_args(p):
     p.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p.add_argument("-o", "--output", default=None, help="write to this file instead of stdout")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
+    p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; does not change results")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,10 @@ exceeds the k-th smallest simulated value, k = L + 1 - ceil(alpha(L+1)).
 The two forms agree on every instance, ties included; both are exposed.
 
 Determinism contract: each draw l has its own counter-based generator
-keyed by (seed, draw domain, l), so results are bit-identical for any
-worker count, and extending L keeps the first draws unchanged.
+keyed by (seed, draw domain, l), so extending L keeps the first draws
+unchanged.  The draws of a test are computed in one batch from those
+keys (see :mod:`shiftshare_ri.rng`); the ``threads`` arguments are
+accepted but do not change results.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import enum
 import itertools
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,16 +43,12 @@ from .estimator import (
     cluster_members,
     sector_residual_sums,
 )
-from .rng import draw_stream
+from .rng import draw_keys, keyed_generators
 from .schemes import KnownDistribution, Permutation, SignChange, SimulationScheme
 
 # Replacement attempts per degenerate draw before giving up; the global
 # budget is therefore at most 10 * L discarded draws.
 MAX_ATTEMPTS_PER_DRAW = 10
-
-# Draw-generation work is split into fixed-size chunks; the partition is
-# independent of the worker count, so threading cannot change results.
-_CHUNK = 256
 
 ENUMERATION_LIMIT = 2**20
 
@@ -252,29 +249,16 @@ def generate_draws(
     b: float = 0.0,
     threads: int = 1,
 ) -> np.ndarray:
-    """Simulated shock matrix of shape (L, J), draw l from its own
-    generator keyed by (seed, l).
+    """Simulated shock matrix, C-contiguous float64 of shape (L, J);
+    row l is the draw from the generator keyed by (seed, l).
 
-    Identical for any thread count; user samplers see the null
-    residuals at ``b``.
+    The draws are computed in one batch; ``threads`` is accepted but
+    does not change results.  User samplers see the null residuals at
+    ``b``.
     """
     e_b = null_residuals(design, b).e_b
-    G = np.empty((int(L), design.J))
-
-    def fill(lo, hi):
-        for l in range(lo, hi):
-            G[l] = scheme.draw(
-                draw_stream(seed, l), design.S, e_b, design.g, cluster_ids=design.cluster_ids
-            )
-
-    bounds = list(range(0, int(L), _CHUNK)) + [int(L)]
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
-    else:
-        fill(0, int(L))
-    return G
+    keys = draw_keys(seed, np.arange(int(L)))
+    return scheme.draw_block(keys, design.S, e_b, design.g, cluster_ids=design.cluster_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +334,7 @@ def simulate_null_statistics(
     Returns ``(t_obs, t_sims, n_degenerate_redraws)``.  Draws whose
     studentizer is numerically zero are replaced by the next draws of
     the same draw's generator stream, up to 10 attempts each.
+    ``threads`` is accepted but does not change results.
     """
     null = _NullProblem(design, spec)
     if _raw_draws is None:
@@ -360,8 +345,8 @@ def simulate_null_statistics(
         return spec.scheme.draw(rng, design.S, null.e_b, design.g, cluster_ids=design.cluster_ids)
 
     n_redraws = 0
-    for l in np.flatnonzero(~valid):
-        rng = draw_stream(spec.seed, int(l))
+    bad = np.flatnonzero(~valid)
+    for l, rng in zip(bad, keyed_generators(draw_keys(spec.seed, bad))):
         draw(rng)  # the degenerate draw itself
         for _ in range(1, MAX_ATTEMPTS_PER_DRAW):
             n_redraws += 1
@@ -387,6 +372,7 @@ def ri_test(
     The simulated statistics re-evaluate the null-form statistic with
     the observed shocks replaced by each draw; for T2 this equals
     rebuilding outcomes ``Y* = b Z* + e_b`` and re-estimating.
+    ``threads`` is accepted but does not change results.
     """
     t_obs, t_sims, n_redraws = simulate_null_statistics(
         design, spec, threads=threads, _raw_draws=_raw_draws
@@ -502,9 +488,8 @@ def berger_boos_test(
         raise ConfigError(f"grid_size must be at least 2, got {grid_size}")
     null = _NullProblem(design, spec)
 
-    kappa = np.empty((spec.L, design.J))
-    for l in range(spec.L):
-        kappa[l] = spec.scheme.signs(draw_stream(spec.seed, l), design.J, design.cluster_ids)
+    keys = draw_keys(spec.seed, np.arange(spec.L))
+    kappa = spec.scheme.sign_block(keys, design.J, design.cluster_ids)
 
     grid = np.unique(np.linspace(m_lo, m_hi, grid_size)) if m_hi > m_lo else np.array([m_lo])
     worst = max(
@@ -563,7 +548,8 @@ def confidence_interval(
 
     The same draws (same seed, same generator streams) are applied at
     every grid point, so interval endpoints move with the data rather
-    than with simulation jitter.
+    than with simulation jitter.  ``threads`` is accepted but does not
+    change results.
     """
     b_grid = np.asarray(b_grid, dtype=np.float64)
     if b_grid.ndim != 1 or b_grid.size == 0:

@@ -5,6 +5,12 @@ to produce one simulated shock vector from a generator.  Draws may
 depend on the exposures and the null residuals (user-supplied samplers
 receive both), though the built-in schemes use only the observed shocks.
 
+``draw_block`` produces the draws of a whole test at once, one row per
+key of :func:`rng.draw_keys`, each row equal to ``draw`` on that key's
+fresh stream.  Sign changes compute their rows from the Philox output
+directly; the other schemes call ``draw`` once per row on one reusable
+generator reset to each key.
+
 Schemes also report per-coordinate moments (mean, second, fourth) of
 their draws, which feed the asymptotic-condition diagnostics.  For the
 built-ins these are closed form; user-supplied samplers fall back to
@@ -19,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataValidationError
-from .rng import DOMAIN_MOMENTS, stream
+from .rng import DOMAIN_MOMENTS, keyed_generators, sign_bits, stream
 
 
 @dataclass(frozen=True)
@@ -28,6 +34,14 @@ class SimulationScheme:
 
     def draw(self, rng, S, e_b, g, cluster_ids=None) -> np.ndarray:
         raise NotImplementedError
+
+    def draw_block(self, keys, S, e_b, g, cluster_ids=None) -> np.ndarray:
+        """C-contiguous (len(keys), J) float64 array whose row i is
+        ``draw`` on a fresh generator with Philox key ``keys[i]``."""
+        G = np.empty((keys.shape[0], g.shape[0]))
+        for row, rng in zip(G, keyed_generators(keys)):
+            row[:] = self.draw(rng, S, e_b, g, cluster_ids=cluster_ids)
+        return G
 
     def moments(self, g, S=None, e_b=None, n_mc=2000, seed=0):
         """Per-coordinate (mean, second moment, fourth moment) of g*.
@@ -128,8 +142,23 @@ class SignChange(SimulationScheme):
             return kappa_c[inverse].astype(np.float64)
         return (rng.integers(0, 2, size=J) * 2 - 1).astype(np.float64)
 
+    def sign_block(self, keys, J, cluster_ids=None):
+        """(len(keys), J) float64 array whose row i is ``signs`` on a
+        fresh generator with Philox key ``keys[i]``."""
+        if not self.by_cluster:
+            return np.where(sign_bits(keys, J) == 1, 1.0, -1.0)
+        if cluster_ids is None:
+            raise DataValidationError("by_cluster sign changes need cluster labels")
+        uniq, inverse = np.unique(cluster_ids, return_inverse=True)
+        kappa_c = np.where(sign_bits(keys, uniq.shape[0]) == 1, 1.0, -1.0)
+        return np.ascontiguousarray(kappa_c[:, inverse])
+
     def draw(self, rng, S, e_b, g, cluster_ids=None):
         kappa = self.signs(rng, g.shape[0], cluster_ids)
+        return kappa * (g - self.m) + self.m
+
+    def draw_block(self, keys, S, e_b, g, cluster_ids=None):
+        kappa = self.sign_block(keys, g.shape[0], cluster_ids)
         return kappa * (g - self.m) + self.m
 
     def moments(self, g, S=None, e_b=None, n_mc=2000, seed=0):

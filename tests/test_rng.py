@@ -1,12 +1,28 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
+from conftest import make_design
+from shiftshare_ri import (
+    ConfigError,
+    DataValidationError,
+    IIDNormal,
+    KnownDistribution,
+    Permutation,
+    RecentredBootstrap,
+    SignChange,
+    generate_draws,
+)
 from shiftshare_ri.rng import (
     DOMAIN_DATASET,
     DOMAIN_EXPERIMENT,
     DOMAIN_MOMENTS,
     DOMAIN_SCHEME_DRAW,
+    draw_keys,
     draw_stream,
+    keyed_generators,
+    philox_words,
+    sign_bits,
     stream,
     substream_seed,
 )
@@ -48,3 +64,103 @@ def test_substream_seed_stable_and_distinct():
 def test_domain_constants_distinct():
     doms = {DOMAIN_SCHEME_DRAW, DOMAIN_MOMENTS, DOMAIN_DATASET, DOMAIN_EXPERIMENT}
     assert doms == {1, 2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# Batched keyed draws against the per-draw reference streams
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1, 2**130 + 3)
+INDICES = np.array([0, 1, 2, 5, 255, 256, 2**31, 2**32 - 1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_keys_are_the_draw_stream_keys(seed):
+    keys = draw_keys(seed, INDICES)
+    assert keys.dtype == np.uint64 and keys.shape == (INDICES.size, 2)
+    for key, l in zip(keys, INDICES):
+        npt.assert_array_equal(key, draw_stream(seed, int(l)).bit_generator.state["state"]["key"])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_philox_words_are_the_raw_stream(seed):
+    words = philox_words(draw_keys(seed, INDICES), 3)
+    for row, l in zip(words, INDICES):
+        npt.assert_array_equal(row, draw_stream(seed, int(l)).bit_generator.random_raw(12))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 8, 9, 200))
+def test_sign_block_equals_per_draw_signs(seed, n):
+    keys = draw_keys(seed, INDICES)
+    expected = np.stack([SignChange().signs(draw_stream(seed, int(l)), n) for l in INDICES])
+    block = SignChange().sign_block(keys, n)
+    assert block.dtype == np.float64
+    npt.assert_array_equal(block, expected)
+    npt.assert_array_equal(sign_bits(keys, n), (expected > 0).astype(np.uint64))
+
+
+def test_by_cluster_sign_block_equals_per_draw_signs():
+    clusters = np.array([4, 1, 1, 9, 4, 0, 9, 9, 2])
+    scheme = SignChange(by_cluster=True)
+    for seed in (3, 2**64 - 1):
+        keys = draw_keys(seed, np.arange(40))
+        expected = np.stack(
+            [scheme.signs(draw_stream(seed, l), clusters.size, clusters) for l in range(40)]
+        )
+        npt.assert_array_equal(scheme.sign_block(keys, clusters.size, clusters), expected)
+    with pytest.raises(DataValidationError, match="cluster labels"):
+        scheme.sign_block(keys, clusters.size)
+
+
+def test_keyed_draws_do_not_change_when_l_grows():
+    npt.assert_array_equal(draw_keys(5, np.arange(1000))[:10], draw_keys(5, np.arange(10)))
+    d = make_design(seed=3, N=15, J=7)
+    for scheme in (SignChange(m=0.2), Permutation()):
+        npt.assert_array_equal(
+            generate_draws(d, scheme, 300, seed=6)[:37], generate_draws(d, scheme, 37, seed=6)
+        )
+
+
+def test_reset_generator_draws_what_a_fresh_stream_draws():
+    d = make_design(seed=4, N=12, J=9)
+
+    def draws(rng):
+        # several calls per stream, so a reset must also clear the
+        # buffered half-word and the buffered block
+        return [
+            Permutation().draw(rng, d.S, None, d.g),
+            RecentredBootstrap().draw(rng, d.S, None, d.g),
+            rng.integers(0, 2, size=3),
+            IIDNormal(2.0).draw(rng, d.S, None, d.g),
+        ]
+
+    seed = 2**63 + 11
+    for rng, l in zip(keyed_generators(draw_keys(seed, INDICES)), INDICES):
+        for got, want in zip(draws(rng), draws(draw_stream(seed, int(l)))):
+            npt.assert_array_equal(got, want)
+
+
+def test_generate_draws_is_c_contiguous_float64():
+    d = make_design(seed=5, N=10, J=6, cluster_ids=np.array([0, 1, 0, 2, 1, 2]))
+    known = KnownDistribution(lambda rng, S, e_b, g: rng.integers(-2, 3, size=g.shape[0]))
+    schemes = (
+        SignChange(),
+        SignChange(m=0.5, by_cluster=True),
+        Permutation(),
+        RecentredBootstrap(),
+        IIDNormal(),
+        known,
+    )
+    for scheme in schemes:
+        G = generate_draws(d, scheme, 50, seed=2)
+        assert G.dtype == np.float64 and G.shape == (50, 6)
+        assert G.flags.c_contiguous
+
+
+def test_draw_keys_reject_indices_beyond_one_spawn_word():
+    with pytest.raises(ConfigError):
+        draw_keys(0, [2**32])
+    with pytest.raises(ConfigError):
+        draw_keys(0, [-1])
+    with pytest.raises(ConfigError):
+        draw_keys(-1, [0])
