@@ -162,7 +162,7 @@ def _load(args):
 def _spec_from_args(args, seed: int, L=None) -> TestSpec:
     scheme = build_scheme(args.scheme, m=args.m, sigma=args.sigma, by_cluster=args.by_cluster)
     return TestSpec(
-        b=args.b if hasattr(args, "b") else 0.0,
+        b=getattr(args, "b", 0.0),
         statistic=STATISTIC_BY_TOKEN[args.stat],
         scheme=scheme,
         L=L if L is not None else args.L,
@@ -240,18 +240,7 @@ def cmd_ci(args) -> int:
     if not (args.b_min <= args.b_max):
         raise ConfigError(f"--b-min {args.b_min} must not exceed --b-max {args.b_max}")
     grid = np.linspace(args.b_min, args.b_max, args.b_steps)
-    scheme = build_scheme(args.scheme, m=args.m, sigma=args.sigma, by_cluster=args.by_cluster)
-    spec = TestSpec(
-        b=float(grid[0]),
-        statistic=STATISTIC_BY_TOKEN[args.stat],
-        scheme=scheme,
-        L=args.L,
-        alpha=args.alpha,
-        sidedness=SIDEDNESS_BY_TOKEN[args.sided],
-        seed=seed,
-        demean=args.demean,
-        cluster_studentizer=args.clustered,
-    )
+    spec = _spec_from_args(args, seed)
     result = confidence_interval(design, spec, grid, threads=_resolve_threads(args))
     empty = not bool(result.retained.any())
     if args.format == "csv":
@@ -290,18 +279,16 @@ def cmd_ci(args) -> int:
 
 def cmd_diagnose(args) -> int:
     design = _load(args)
-    seed = _resolve_seed(args)
-    scheme = build_scheme(args.scheme, m=args.m, sigma=args.sigma, by_cluster=args.by_cluster)
-    stat = STATISTIC_BY_TOKEN[args.stat]
+    spec = _spec_from_args(args, _resolve_seed(args))
     report = asymptotic_report(
         design,
-        args.b,
-        scheme,
-        statistic=stat,
-        L=args.L,
+        spec.b,
+        spec.scheme,
+        statistic=spec.statistic,
+        L=spec.L,
         n_draws=args.moment_draws,
-        seed=seed,
-        demean=args.demean,
+        seed=spec.seed,
+        demean=spec.demean,
     )
     obj = {"schema": SCHEMA_VERSION, "command": "diagnose", "b": args.b}
     obj.update(report.to_dict())

@@ -24,7 +24,7 @@ import enum
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -36,6 +36,7 @@ from .ri import (
     Sidedness,
     Statistic,
     TestSpec,
+    _as_int,
     exact_enumeration_test,
     ri_test,
 )
@@ -79,8 +80,10 @@ class Concentrated:
     k_dominant: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.k_dominant, int) or self.k_dominant < 1:
+        k = _as_int(self.k_dominant)
+        if k is None or k < 1:
             raise ConfigError(f"k_dominant must be a positive integer, got {self.k_dominant}")
+        object.__setattr__(self, "k_dominant", k)
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,10 @@ class ClusteredShocks:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.block_size, int) or self.block_size < 1:
+        size = _as_int(self.block_size)
+        if size is None or size < 1:
             raise ConfigError(f"block_size must be a positive integer, got {self.block_size}")
+        object.__setattr__(self, "block_size", size)
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
@@ -197,6 +202,35 @@ class IV:
             raise ConfigError(f"noise_sd must be nonnegative, got {self.noise_sd}")
 
 
+# Config components: each key maps to its default token and to the
+# class each token builds ("none" builds nothing).  A class's dataclass
+# fields are its sub-keys, each typed by the type of its default.
+_COMPONENTS = {
+    "exposure": ("single", {
+        "single": SingleExposure, "dirichlet": DirichletRows, "concentrated": Concentrated,
+    }),
+    "shocks": ("normal", {
+        "normal": NormalShocks, "uniform": UniformShocks, "rademacher": RademacherShocks,
+        "clustered": ClusteredShocks,
+    }),
+    "heterogeneity": ("none", {
+        "none": None, "iid-around": IIDAround, "exposure-correlated": CorrelatedWithExposure,
+    }),
+    "errors": ("iid", {"iid": IIDErrors, "sector-factor": SectorFactorErrors}),
+    "first_stage": ("reduced-form", {"reduced-form": ReducedForm, "iv": IV}),
+    "scheme": ("sign-change", {
+        "sign-change": SignChange, "permutation": Permutation, "bootstrap": RecentredBootstrap,
+        "normal": IIDNormal,
+    }),
+}
+
+# DGPSpec field -> the config component that fills it, in parsing order
+_DGP_COMPONENTS = {
+    "exposure_design": "exposure", "shock_law": "shocks", "beta_heterogeneity": "heterogeneity",
+    "error_model": "errors", "first_stage": "first_stage",
+}
+
+
 @dataclass(frozen=True)
 class DGPSpec:
     """Complete description of one synthetic data generating process."""
@@ -211,8 +245,17 @@ class DGPSpec:
     first_stage: object = ReducedForm()
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or not isinstance(self.J, int) or self.N < 2 or self.J < 2:
+        N, J = _as_int(self.N), _as_int(self.J)
+        if N is None or J is None or N < 2 or J < 2:
             raise ConfigError(f"need integer N, J >= 2, got N={self.N}, J={self.J}")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "J", J)
+        for name, key in _DGP_COMPONENTS.items():
+            value = getattr(self, name)
+            allowed = tuple(type(None) if c is None else c for c in _COMPONENTS[key][1].values())
+            if not isinstance(value, allowed):
+                names = ", ".join(cls.__name__ for cls in allowed)
+                raise ConfigError(f"{name} must be one of {names}; got {value!r}")
         if isinstance(self.exposure_design, SingleExposure) and self.N != self.J:
             raise ConfigError("single-exposure design needs N = J")
         if isinstance(self.exposure_design, Concentrated) and self.exposure_design.k_dominant > self.J:
@@ -249,14 +292,9 @@ def shock_covariance(law, J: int) -> np.ndarray:
     if isinstance(law, RademacherShocks):
         return np.eye(J) * law.scale**2
     if isinstance(law, ClusteredShocks):
-        n_blocks = J // law.block_size
         block = np.full((law.block_size, law.block_size), law.rho)
         np.fill_diagonal(block, 1.0)
-        out = np.zeros((J, J))
-        for c in range(n_blocks):
-            lo = c * law.block_size
-            out[lo : lo + law.block_size, lo : lo + law.block_size] = block
-        return out * law.sigma**2
+        return np.kron(np.eye(J // law.block_size), block) * law.sigma**2
     raise ConfigError(f"unknown shock law {law!r}")
 
 
@@ -312,32 +350,23 @@ def generate_dataset(dgp: DGPSpec, seed: int) -> tuple[ShiftShareDesign, GroundT
     switching one DGP ingredient does not shift the randomness of the
     others.
     """
-    rng_S = stream(seed, DOMAIN_DATASET, 0)
-    rng_g = stream(seed, DOMAIN_DATASET, 1)
-    rng_beta = stream(seed, DOMAIN_DATASET, 2)
-    rng_eps = stream(seed, DOMAIN_DATASET, 3)
-    rng_fs = stream(seed, DOMAIN_DATASET, 4)
+    rng_S, rng_g, rng_beta, rng_eps, rng_fs = (stream(seed, DOMAIN_DATASET, k) for k in range(5))
 
     S = _draw_exposures(dgp.exposure_design, dgp.N, dgp.J, rng_S)
     g = _draw_shocks_dgp(dgp.shock_law, dgp.J, rng_g)
     Z = S @ g
-    if isinstance(dgp.first_stage, ReducedForm):
-        X = None
-        X_arr = Z
-    else:
-        X_arr = dgp.first_stage.strength * Z + dgp.first_stage.noise_sd * rng_fs.standard_normal(
-            dgp.N
-        )
-        X = X_arr
+    X = None
+    if not isinstance(dgp.first_stage, ReducedForm):
+        X = dgp.first_stage.strength * Z + dgp.first_stage.noise_sd * rng_fs.standard_normal(dgp.N)
+    X_arr = Z if X is None else X
     beta_units = _draw_beta_units(dgp.beta_heterogeneity, dgp.beta, S, rng_beta)
     eps = _draw_errors(dgp.error_model, S, rng_eps)
     Y = beta_units * X_arr + eps
 
     cluster_ids = None
     if isinstance(dgp.shock_law, ClusteredShocks):
-        cluster_ids = np.repeat(
-            np.arange(dgp.J // dgp.shock_law.block_size), dgp.shock_law.block_size
-        )
+        size = dgp.shock_law.block_size
+        cluster_ids = np.repeat(np.arange(dgp.J // size), size)
 
     design = ShiftShareDesign.from_arrays(Y, X, S, g, cluster_ids=cluster_ids)
 
@@ -373,17 +402,10 @@ class MethodKind(enum.Enum):
 
 
 def scheme_token(scheme) -> str:
-    if isinstance(scheme, SignChange):
-        return "sign-change"
-    if isinstance(scheme, Permutation):
-        return "permutation"
-    if isinstance(scheme, RecentredBootstrap):
-        return "bootstrap"
-    if isinstance(scheme, IIDNormal):
-        return "normal"
-    if isinstance(scheme, KnownDistribution):
-        return "custom"
-    return "none"
+    for token, cls in _COMPONENTS["scheme"][1].items():
+        if isinstance(scheme, cls):
+            return token
+    return "custom" if isinstance(scheme, KnownDistribution) else "none"
 
 
 @dataclass(frozen=True)
@@ -464,18 +486,39 @@ def _run_method(design: ShiftShareDesign, method: MethodSpec, b: float, seed: in
     return ri_test(design, spec).reject
 
 
-def _aggregate(label, b_mean, rejects, failures, reps):
-    n_ok = reps - failures
-    rate = rejects / n_ok if n_ok > 0 else float("nan")
-    se = math.sqrt(rate * (1.0 - rate) / n_ok) if n_ok > 0 else float("nan")
-    return ExperimentResult(
-        method=label,
-        b_tested=b_mean,
-        rejection_rate=rate,
-        mc_se=se,
-        reps=reps,
-        failures=failures,
-    )
+def _rep_loop(dgp: DGPSpec, reps: int, master_seed: int, cells) -> list[ExperimentResult]:
+    """One result per cell ``(method, method_index, b)`` over ``reps``
+    datasets; ``b=None`` tests each rep's own target and reports their
+    mean.  Rep r draws its dataset from substream ``(r, 0)`` of the
+    master seed and its test seed from ``(r, 1, method_index)``.
+    """
+    if reps < 100:
+        raise ConfigError(f"need reps >= 100 for a meaningful rate, got {reps}")
+    seed = _as_int(master_seed)
+    if seed is None or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {master_seed!r}")
+    rejects = [0] * len(cells)
+    failures = [0] * len(cells)
+    n_seeds = 1 + max(mi for _, mi, _ in cells)
+    b_sum = 0.0
+    for rep in range(reps):
+        design, truth = generate_dataset(dgp, substream_seed(seed, DOMAIN_EXPERIMENT, rep, 0))
+        b_sum += truth.beta_target
+        t_seeds = [substream_seed(seed, DOMAIN_EXPERIMENT, rep, 1, mi) for mi in range(n_seeds)]
+        for ci, (method, mi, b) in enumerate(cells):
+            try:
+                if _run_method(design, method, truth.beta_target if b is None else b, t_seeds[mi]):
+                    rejects[ci] += 1
+            except NumericDegeneracyError:
+                failures[ci] += 1
+    results = []
+    for ci, (method, _, b) in enumerate(cells):
+        n_ok = reps - failures[ci]
+        rate = rejects[ci] / n_ok if n_ok > 0 else float("nan")
+        se = math.sqrt(rate * (1.0 - rate) / n_ok) if n_ok > 0 else float("nan")
+        b_tested = b_sum / reps if b is None else b
+        results.append(ExperimentResult(method.label, b_tested, rate, se, reps, failures[ci]))
+    return results
 
 
 def size_experiment(
@@ -488,30 +531,9 @@ def size_experiment(
     ``failures`` column and excluded from the rejection denominator,
     never silently dropped.
     """
-    if reps < 100:
-        raise ConfigError(f"need reps >= 100 for a meaningful rate, got {reps}")
     if not methods:
         raise ConfigError("no methods given")
-    rejects = [0] * len(methods)
-    failures = [0] * len(methods)
-    b_sum = 0.0
-    for rep in range(reps):
-        ds_seed = substream_seed(master_seed, DOMAIN_EXPERIMENT, rep, 0)
-        design, truth = generate_dataset(dgp, ds_seed)
-        b = truth.beta_target
-        b_sum += b
-        for mi, method in enumerate(methods):
-            t_seed = substream_seed(master_seed, DOMAIN_EXPERIMENT, rep, 1, mi)
-            try:
-                if _run_method(design, method, b, t_seed):
-                    rejects[mi] += 1
-            except NumericDegeneracyError:
-                failures[mi] += 1
-    b_mean = b_sum / reps
-    return [
-        _aggregate(m.label, b_mean, rejects[mi], failures[mi], reps)
-        for mi, m in enumerate(methods)
-    ]
+    return _rep_loop(dgp, reps, master_seed, [(m, mi, None) for mi, m in enumerate(methods)])
 
 
 def power_curve(
@@ -526,37 +548,15 @@ def power_curve(
     b_grid = np.asarray(b_grid, dtype=np.float64)
     if b_grid.ndim != 1 or b_grid.size == 0 or not np.all(np.isfinite(b_grid)):
         raise ConfigError("b_grid must be a nonempty finite 1-d array")
-    if reps < 100:
-        raise ConfigError(f"need reps >= 100 for a meaningful rate, got {reps}")
-    rejects = [0] * b_grid.size
-    failures = [0] * b_grid.size
-    for rep in range(reps):
-        ds_seed = substream_seed(master_seed, DOMAIN_EXPERIMENT, rep, 0)
-        design, _ = generate_dataset(dgp, ds_seed)
-        t_seed = substream_seed(master_seed, DOMAIN_EXPERIMENT, rep, 1, 0)
-        for bi, b in enumerate(b_grid):
-            try:
-                if _run_method(design, method, float(b), t_seed):
-                    rejects[bi] += 1
-            except NumericDegeneracyError:
-                failures[bi] += 1
-    return [
-        _aggregate(method.label, float(b), rejects[bi], failures[bi], reps)
-        for bi, b in enumerate(b_grid)
-    ]
+    return _rep_loop(dgp, reps, master_seed, [(method, 0, float(b)) for b in b_grid])
 
 
 # ---------------------------------------------------------------------------
 # Experiment config files (plain key=value) and result serialization
 
-_EXPOSURE_TOKENS = ("single", "dirichlet", "concentrated")
-_SHOCK_TOKENS = ("normal", "uniform", "rademacher", "clustered")
-_ERROR_TOKENS = ("iid", "sector-factor")
-_FS_TOKENS = ("reduced-form", "iv")
-_HET_TOKENS = ("none", "iid-around", "exposure-correlated")
 _METHOD_TOKENS = ("ri-t0", "ri-t1", "ri-t2", "akm-normal", "enumeration")
 
-SCHEME_TOKENS = ("sign-change", "permutation", "bootstrap", "normal")
+SCHEME_TOKENS = tuple(_COMPONENTS["scheme"][1])
 
 STATISTIC_BY_TOKEN = {"t0": Statistic.T0, "t1": Statistic.T1, "t2": Statistic.T2}
 
@@ -567,57 +567,26 @@ SIDEDNESS_BY_TOKEN = {
     "equal-tail": Sidedness.EQUAL_TAIL,
 }
 
-_KNOWN_KEYS = {
-    "n",
-    "j",
-    "exposure",
-    "exposure.concentration",
-    "exposure.k_dominant",
-    "shocks",
-    "shocks.sigma",
-    "shocks.half_width",
-    "shocks.scale",
-    "shocks.block_size",
-    "shocks.rho",
-    "beta",
-    "heterogeneity",
-    "heterogeneity.sd",
-    "heterogeneity.strength",
-    "errors",
-    "errors.sigma",
-    "errors.sigma_factor",
-    "errors.sigma_idio",
-    "first_stage",
-    "first_stage.strength",
-    "first_stage.noise_sd",
-    "methods",
-    "scheme",
-    "scheme.m",
-    "scheme.sigma",
-    "scheme.by_cluster",
-    "statistic",
-    "sided",
-    "alpha",
-    "l",
-    "reps",
-    "seed",
-    "demean",
-    "clustered",
-    "b_grid",
+_SCALAR_KEYS = (
+    "n", "j", "beta", "methods", "statistic", "sided", "alpha", "l", "reps", "seed",
+    "demean", "clustered", "b_grid",
+)
+
+_KNOWN_KEYS = {*_SCALAR_KEYS, *_COMPONENTS} | {
+    f"{key}.{f.name}"
+    for key, (_, choices) in _COMPONENTS.items()
+    for cls in filter(None, choices.values())
+    for f in fields(cls)
 }
 
 
-def build_scheme(token: str, m: float = 0.0, sigma: float = 1.0, by_cluster: bool = False):
-    """Construct a built-in scheme from its CLI/config token."""
-    if token == "sign-change":
-        return SignChange(m=m, by_cluster=by_cluster)
-    if token == "permutation":
-        return Permutation()
-    if token == "bootstrap":
-        return RecentredBootstrap()
-    if token == "normal":
-        return IIDNormal(sigma=sigma)
-    raise ConfigError(f"unknown scheme {token!r}; expected one of {', '.join(SCHEME_TOKENS)}")
+def build_scheme(token: str, **params):
+    """Construct a built-in scheme from its CLI/config token, passing
+    the ``params`` (``m``, ``sigma``, ``by_cluster``) it takes."""
+    cls = _COMPONENTS["scheme"][1].get(token)
+    if cls is None:
+        raise ConfigError(f"unknown scheme {token!r}; expected one of {', '.join(SCHEME_TOKENS)}")
+    return cls(**{f.name: params[f.name] for f in fields(cls) if f.name in params})
 
 
 @dataclass(frozen=True)
@@ -645,15 +614,37 @@ def _parse_scalar(raw: str, key: str, kind):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
+def _parse_component(key: str, kv: dict[str, str], lines: dict[str, int]):
+    """Build component ``key`` from its token and the sub-keys its
+    class declares; a sub-key of another token is an error."""
+    default, choices = _COMPONENTS[key]
+    token = kv.get(key, default).lower()
+    if token not in choices:
+        raise ConfigError(
+            f"config key {key!r}: unknown value {token!r}; expected one of {', '.join(choices)}"
+        )
+    cls = choices[token]
+    subs = {f"{key}.{f.name}": f for f in fields(cls)} if cls is not None else {}
+    for k in kv:
+        if k.startswith(key + ".") and k not in subs:
+            raise ConfigError(
+                f"config line {lines[k]}: key {k!r} does not apply to {key} = {token}"
+            )
+    values = {f.name: _parse_scalar(kv[k], k, type(f.default)) for k, f in subs.items() if k in kv}
+    return None if cls is None else cls(**values)
+
+
 def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
     """Read a key=value experiment file.
 
     Lines are ``key = value``; ``#`` starts a comment; keys are
-    case-insensitive.  Unknown keys are errors naming the key.
+    case-insensitive.  Unknown keys, and sub-keys of a component token
+    that was not chosen, are errors naming the key.
     """
     with open(source, "r", encoding="utf-8") as fh:
         text = fh.read()
     kv: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -668,6 +659,7 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
         if key in kv:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         kv[key] = raw
+        lines[key] = lineno
 
     def take(key, kind, default):
         if key not in kv:
@@ -679,98 +671,10 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
             raise ConfigError(f"config is missing required key {required!r}")
     N = _parse_scalar(kv["n"], "n", int)
     J = _parse_scalar(kv["j"], "j", int)
+    parts = {name: _parse_component(key, kv, lines) for name, key in _DGP_COMPONENTS.items()}
+    dgp = DGPSpec(N=N, J=J, beta=take("beta", float, 1.0), **parts)
 
-    exposure_token = take("exposure", str, "single").lower()
-    if exposure_token == "single":
-        exposure = SingleExposure()
-    elif exposure_token == "dirichlet":
-        exposure = DirichletRows(concentration=take("exposure.concentration", float, 1.0))
-    elif exposure_token == "concentrated":
-        exposure = Concentrated(k_dominant=take("exposure.k_dominant", int, 2))
-    else:
-        raise ConfigError(
-            f"config key 'exposure': unknown value {exposure_token!r}; "
-            f"expected one of {', '.join(_EXPOSURE_TOKENS)}"
-        )
-
-    shock_token = take("shocks", str, "normal").lower()
-    if shock_token == "normal":
-        shocks = NormalShocks(sigma=take("shocks.sigma", float, 1.0))
-    elif shock_token == "uniform":
-        shocks = UniformShocks(half_width=take("shocks.half_width", float, 1.0))
-    elif shock_token == "rademacher":
-        shocks = RademacherShocks(scale=take("shocks.scale", float, 1.0))
-    elif shock_token == "clustered":
-        shocks = ClusteredShocks(
-            block_size=take("shocks.block_size", int, 2),
-            rho=take("shocks.rho", float, 0.5),
-            sigma=take("shocks.sigma", float, 1.0),
-        )
-    else:
-        raise ConfigError(
-            f"config key 'shocks': unknown value {shock_token!r}; "
-            f"expected one of {', '.join(_SHOCK_TOKENS)}"
-        )
-
-    het_token = take("heterogeneity", str, "none").lower()
-    if het_token == "none":
-        het = None
-    elif het_token == "iid-around":
-        het = IIDAround(sd=take("heterogeneity.sd", float, 0.5))
-    elif het_token == "exposure-correlated":
-        het = CorrelatedWithExposure(strength=take("heterogeneity.strength", float, 0.5))
-    else:
-        raise ConfigError(
-            f"config key 'heterogeneity': unknown value {het_token!r}; "
-            f"expected one of {', '.join(_HET_TOKENS)}"
-        )
-
-    error_token = take("errors", str, "iid").lower()
-    if error_token == "iid":
-        errors = IIDErrors(sigma=take("errors.sigma", float, 1.0))
-    elif error_token == "sector-factor":
-        errors = SectorFactorErrors(
-            sigma_factor=take("errors.sigma_factor", float, 1.0),
-            sigma_idio=take("errors.sigma_idio", float, 0.5),
-        )
-    else:
-        raise ConfigError(
-            f"config key 'errors': unknown value {error_token!r}; "
-            f"expected one of {', '.join(_ERROR_TOKENS)}"
-        )
-
-    fs_token = take("first_stage", str, "reduced-form").lower()
-    if fs_token == "reduced-form":
-        first_stage = ReducedForm()
-    elif fs_token == "iv":
-        first_stage = IV(
-            strength=take("first_stage.strength", float, 1.0),
-            noise_sd=take("first_stage.noise_sd", float, 1.0),
-        )
-    else:
-        raise ConfigError(
-            f"config key 'first_stage': unknown value {fs_token!r}; "
-            f"expected one of {', '.join(_FS_TOKENS)}"
-        )
-
-    dgp = DGPSpec(
-        N=N,
-        J=J,
-        exposure_design=exposure,
-        shock_law=shocks,
-        beta=take("beta", float, 1.0),
-        beta_heterogeneity=het,
-        error_model=errors,
-        first_stage=first_stage,
-    )
-
-    scheme_name = take("scheme", str, "sign-change").lower()
-    scheme = build_scheme(
-        scheme_name,
-        m=take("scheme.m", float, 0.0),
-        sigma=take("scheme.sigma", float, 1.0),
-        by_cluster=take("scheme.by_cluster", bool, False),
-    )
+    scheme = _parse_component("scheme", kv, lines)
     stat_token = take("statistic", str, "t1").lower()
     if stat_token not in STATISTIC_BY_TOKEN:
         raise ConfigError(f"config key 'statistic': unknown value {stat_token!r}")
@@ -781,6 +685,9 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
     L = take("l", int, 199)
     demean = take("demean", bool, False)
     clustered = take("clustered", bool, False)
+    statistic = STATISTIC_BY_TOKEN[stat_token]
+    shared = dict(scheme=scheme, alpha=alpha, sidedness=SIDEDNESS_BY_TOKEN[sided_token],
+                  demean=demean, cluster_studentizer=clustered)
 
     methods = []
     for token in take("methods", str, "ri-t1").lower().split(","):
@@ -788,43 +695,18 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
         if not token:
             continue
         if token == "akm-normal":
-            methods.append(
-                MethodSpec(
-                    kind=MethodKind.AKM_NORMAL,
-                    alpha=alpha,
-                    cluster_studentizer=clustered,
-                )
-            )
+            method = MethodSpec(MethodKind.AKM_NORMAL, alpha=alpha, cluster_studentizer=clustered)
         elif token == "enumeration":
-            methods.append(
-                MethodSpec(
-                    kind=MethodKind.ENUMERATION,
-                    statistic=STATISTIC_BY_TOKEN[stat_token],
-                    scheme=scheme,
-                    alpha=alpha,
-                    sidedness=SIDEDNESS_BY_TOKEN[sided_token],
-                    demean=demean,
-                    cluster_studentizer=clustered,
-                )
-            )
+            method = MethodSpec(MethodKind.ENUMERATION, statistic=statistic, **shared)
         elif token in ("ri-t0", "ri-t1", "ri-t2"):
-            methods.append(
-                MethodSpec(
-                    kind=MethodKind.RI,
-                    statistic=STATISTIC_BY_TOKEN[token.split("-")[1]],
-                    scheme=scheme,
-                    L=L,
-                    alpha=alpha,
-                    sidedness=SIDEDNESS_BY_TOKEN[sided_token],
-                    demean=demean,
-                    cluster_studentizer=clustered,
-                )
-            )
+            ri_statistic = STATISTIC_BY_TOKEN[token[3:]]
+            method = MethodSpec(MethodKind.RI, statistic=ri_statistic, L=L, **shared)
         else:
             raise ConfigError(
                 f"config key 'methods': unknown method {token!r}; "
                 f"expected one of {', '.join(_METHOD_TOKENS)}"
             )
+        methods.append(method)
     if not methods:
         raise ConfigError("config key 'methods': no methods listed")
 

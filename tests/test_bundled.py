@@ -100,3 +100,17 @@ def test_bundled_experiment_config_level_and_determinism(capsys):
     mc_se = float(by_method["RI-T1/sign-change"][3])
     assert abs(rate - 0.1) <= 3.0 * mc_se  # sign flips are exact here
     assert float(by_method["AKM-normal"][2]) > 0.1  # the comparator is not
+
+
+def test_bundled_experiment_config_pinned_counts(capsys):
+    # reject counts and failures of the bundled size study, frozen so a
+    # change to the harness, the config parser or the seeding shows here
+    code, out = run(capsys, ["simulate", "--config", str(DEMOS / "configs" / "size_small_J.cfg"),
+                             "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    counts = {r[0]: (round(float(r[2]) * int(r[4])), int(r[4]), int(r[5])) for r in rows}
+    assert counts == {
+        "RI-T1/sign-change": (38, 400, 0),
+        "AKM-normal": (119, 400, 0),
+    }

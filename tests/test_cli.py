@@ -223,6 +223,18 @@ def test_simulate_power_curve_needs_single_method(tmp_path, capsys):
     assert "one method" in err
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_simulate_negative_seed_is_usage_error(tmp_path, capsys, where):
+    cfg = tmp_path / "exp.cfg"
+    seed_line = "seed = -1\n" if where == "config" else ""
+    cfg.write_text("n = 8\nj = 8\nreps = 100\nl = 19\n" + seed_line)
+    flag = ["--seed", "-1"] if where == "flag" else []
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), *flag])
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+
+
 def test_exit_code_2_on_missing_file(capsys, data, tmp_path):
     code, _, err = run_cli(
         capsys,

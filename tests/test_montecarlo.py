@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,9 +8,12 @@ from shiftshare_ri import (
     ConfigError,
     DGPSpec,
     ExperimentResult,
+    IIDNormal,
     KnownDistribution,
     MethodKind,
     MethodSpec,
+    Permutation,
+    RecentredBootstrap,
     SignChange,
     Statistic,
     generate_dataset,
@@ -26,9 +31,11 @@ from shiftshare_ri.montecarlo import (
     IV,
     NormalShocks,
     RademacherShocks,
+    ReducedForm,
     SectorFactorErrors,
     SingleExposure,
     UniformShocks,
+    _COMPONENTS,
     build_scheme,
     results_to_csv,
     results_to_json_obj,
@@ -47,6 +54,30 @@ def test_dgp_validation():
         DGPSpec(N=10, J=10, beta=np.inf)
     with pytest.raises(ConfigError):
         DGPSpec(N=1, J=1)
+    # components are checked against their slot, integers by the TestSpec rule
+    with pytest.raises(ConfigError, match="shock_law"):
+        DGPSpec(N=8, J=8, shock_law="normal")
+    with pytest.raises(ConfigError, match="first_stage"):
+        DGPSpec(N=8, J=8, first_stage=IIDErrors())
+    with pytest.raises(ConfigError, match="beta_heterogeneity"):
+        DGPSpec(N=8, J=8, beta_heterogeneity=NormalShocks())
+    with pytest.raises(ConfigError, match="exposure_design"):
+        DGPSpec(N=8, J=8, exposure_design=None)
+    with pytest.raises(ConfigError):
+        DGPSpec(N=True, J=8)
+    with pytest.raises(ConfigError):
+        DGPSpec(N=8.0, J=8)
+    with pytest.raises(ConfigError, match="k_dominant"):
+        Concentrated(k_dominant=True)
+    with pytest.raises(ConfigError, match="block_size"):
+        ClusteredShocks(block_size=2.0)
+    spec = DGPSpec(
+        N=np.int64(8), J=np.int32(4), exposure_design=Concentrated(k_dominant=np.int64(2)),
+        shock_law=ClusteredShocks(block_size=np.int16(2)),
+    )
+    assert type(spec.N) is int and type(spec.J) is int and (spec.N, spec.J) == (8, 4)
+    assert type(spec.exposure_design.k_dominant) is int
+    assert type(spec.shock_law.block_size) is int
 
 
 def test_generate_dataset_reproducible():
@@ -173,6 +204,18 @@ def test_size_experiment_validation():
         size_experiment(dgp, [], reps=200, master_seed=0)
 
 
+def test_experiment_seed_must_be_nonnegative_integer():
+    dgp = DGPSpec(N=8, J=8)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ConfigError, match="seed"):
+            size_experiment(dgp, [method_t1()], reps=100, master_seed=bad)
+        with pytest.raises(ConfigError, match="seed"):
+            power_curve(dgp, [0.0], method_t1(), reps=100, master_seed=bad)
+    # seeds beyond 64 bits stay valid master seeds
+    res = size_experiment(dgp, [method_t1()], reps=100, master_seed=2**64 + 3)[0]
+    assert res.reps == 100
+
+
 def test_size_experiment_deterministic_and_sane():
     dgp = DGPSpec(N=10, J=10, beta=0.5)
     methods = [method_t1(), MethodSpec(kind=MethodKind.AKM_NORMAL, alpha=0.1)]
@@ -219,6 +262,15 @@ def test_power_curve_matches_size_run_at_the_target():
     # power grows away from the target
     away = [r for r in curve if r.b_tested != 0.8]
     assert all(r.rejection_rate >= at_target.rejection_rate for r in away)
+
+
+def test_power_curve_point_does_not_depend_on_the_rest_of_the_grid():
+    # every grid point reuses each rep's test seed
+    dgp = DGPSpec(N=10, J=5, exposure_design=DirichletRows(), beta=1.0)
+    method = method_t1(L=19, alpha=0.2)
+    curve = power_curve(dgp, [0.2, 0.6, 1.0], method, reps=100, master_seed=8)
+    for res in curve:
+        assert power_curve(dgp, [res.b_tested], method, reps=100, master_seed=8) == [res]
 
 
 def test_power_curve_validation():
@@ -347,6 +399,82 @@ def test_parse_config_errors(tmp_path):
     noeq.write_text("n = 10\nj\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_experiment_config(noeq)
+
+
+# every (component, token) of the config file and the class it builds
+CONFIG_COMPONENTS = [
+    ("exposure", "single", SingleExposure),
+    ("exposure", "dirichlet", DirichletRows),
+    ("exposure", "concentrated", Concentrated),
+    ("shocks", "normal", NormalShocks),
+    ("shocks", "uniform", UniformShocks),
+    ("shocks", "rademacher", RademacherShocks),
+    ("shocks", "clustered", ClusteredShocks),
+    ("heterogeneity", "none", None),
+    ("heterogeneity", "iid-around", IIDAround),
+    ("heterogeneity", "exposure-correlated", CorrelatedWithExposure),
+    ("errors", "iid", IIDErrors),
+    ("errors", "sector-factor", SectorFactorErrors),
+    ("first_stage", "reduced-form", ReducedForm),
+    ("first_stage", "iv", IV),
+    ("scheme", "sign-change", SignChange),
+    ("scheme", "permutation", Permutation),
+    ("scheme", "bootstrap", RecentredBootstrap),
+    ("scheme", "normal", IIDNormal),
+]
+
+
+def test_config_components_cover_the_registry():
+    registered = {
+        (key, token, cls)
+        for key, (_, choices) in _COMPONENTS.items()
+        for token, cls in choices.items()
+    }
+    assert registered == set(CONFIG_COMPONENTS)
+
+
+@pytest.mark.parametrize("key,token,cls", CONFIG_COMPONENTS)
+def test_config_component_round_trip(tmp_path, key, token, cls):
+    values = {}
+    for f in (dataclasses.fields(cls) if cls is not None else ()):
+        if isinstance(f.default, bool):
+            values[f.name] = not f.default
+        elif isinstance(f.default, int):
+            values[f.name] = f.default + 1
+        else:
+            values[f.name] = f.default / 2 + 0.1
+    assert all(v != getattr(cls, n) for n, v in values.items())
+    size = "n = 6\nj = 6\n" if (key, token) == ("exposure", "single") else (
+        "n = 12\nj = 6\n" + ("" if key == "exposure" else "exposure = dirichlet\n")
+    )
+    text = size + f"{key} = {token}\n" + "".join(f"{key}.{n} = {v}\n" for n, v in values.items())
+    cfg = tmp_path / "component.cfg"
+    cfg.write_text(text)
+    parsed = parse_experiment_config(cfg)
+    built = {
+        "exposure": parsed.dgp.exposure_design,
+        "shocks": parsed.dgp.shock_law,
+        "heterogeneity": parsed.dgp.beta_heterogeneity,
+        "errors": parsed.dgp.error_model,
+        "first_stage": parsed.dgp.first_stage,
+        "scheme": parsed.methods[0].scheme,
+    }[key]
+    assert built == (None if cls is None else cls(**values))
+    assert type(built) is type(None if cls is None else cls(**values))
+
+
+def test_config_sub_key_of_unchosen_token_is_an_error(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("n = 10\nj = 10\nshocks.rho = abc\nshocks = normal\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment_config(cfg)
+    assert str(exc.value) == "config line 3: key 'shocks.rho' does not apply to shocks = normal"
+    cfg.write_text("n = 10\nj = 10\nscheme.sigma = 2\n")
+    with pytest.raises(ConfigError, match="'scheme.sigma' does not apply to scheme = sign-change"):
+        parse_experiment_config(cfg)
+    cfg.write_text("n = 10\nj = 10\nheterogeneity.sd = 0.2\n")
+    with pytest.raises(ConfigError, match="does not apply to heterogeneity = none"):
+        parse_experiment_config(cfg)
 
 
 def test_results_to_csv_layout():
