@@ -62,9 +62,12 @@ def _add_common_args(p, with_L=True):
     )
     if with_L:
         p.add_argument("--L", type=int, default=999, help="number of simulation draws")
+    p.add_argument("--demean", action="store_true", help="demean observed and simulated shocks")
+
+
+def _add_decision_args(p):
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--sided", choices=sorted(SIDEDNESS_BY_TOKEN), default="two-sided")
-    p.add_argument("--demean", action="store_true", help="demean observed and simulated shocks")
     p.add_argument(
         "--clustered", action="store_true", help="cluster the T1 studentizer by shock cluster"
     )
@@ -88,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_test)
     p_test.add_argument("--b", type=float, required=True, help="null value")
     _add_common_args(p_test)
+    _add_decision_args(p_test)
     _add_output_args(p_test)
 
     p_ci = sub.add_parser("ci", help="confidence set by test inversion")
@@ -96,12 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--b-max", type=float, required=True)
     p_ci.add_argument("--b-steps", type=int, default=101)
     _add_common_args(p_ci)
+    _add_decision_args(p_ci)
     _add_output_args(p_ci)
 
     p_diag = sub.add_parser("diagnose", help="asymptotic regularity report")
     _add_data_args(p_diag)
     p_diag.add_argument("--b", type=float, required=True, help="null value")
     _add_common_args(p_diag)
+    # the report makes no decision; these only complete its TestSpec
+    p_diag.set_defaults(alpha=0.05, sided="two-sided", clustered=False)
     p_diag.add_argument("--moment-draws", type=int, default=500)
     _add_output_args(p_diag)
 
@@ -113,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_enum)
     p_enum.add_argument("--b", type=float, required=True, help="null value")
     _add_common_args(p_enum, with_L=False)
+    _add_decision_args(p_enum)
     _add_output_args(p_enum)
 
     return parser

@@ -27,7 +27,7 @@ import numpy as np
 from .design import ShiftShareDesign, null_residuals
 from .errors import ConfigError, NumericDegeneracyError
 from .estimator import sector_residual_sums
-from .ri import Statistic, TestSpec, generate_draws, simulate_null_statistics
+from .ri import Statistic, TestSpec, generate_draws, ri_test
 from .schemes import SimulationScheme
 
 # Heuristic flag levels, documented in the README.
@@ -151,8 +151,7 @@ def normality_distance(design: ShiftShareDesign, b: float, spec: TestSpec, L: in
     if spec.statistic not in (Statistic.T1, Statistic.T2):
         raise ConfigError("normality distance is defined for the studentized statistics")
     run = replace(spec, b=float(b), L=int(L))
-    _, t_sims, _ = simulate_null_statistics(design, run)
-    return ks_to_standard_normal(t_sims)
+    return ks_to_standard_normal(ri_test(design, run).t_sims)
 
 
 @dataclass(frozen=True)

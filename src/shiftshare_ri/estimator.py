@@ -39,6 +39,11 @@ DEGENERATE_DENOM_RTOL = 1e-14
 # Studentizers at or below this are treated as numerically zero.
 ZERO_STUDENTIZER = 1e-300
 
+# An observed T2 studentizer at or below this multiple of the size of the
+# terms it is the difference of is rounding residue: on a rank-deficient
+# exposure matrix it is exactly zero for every shock vector.
+T2_CANCELLATION_RTOL = 1e-10
+
 
 class VarianceKind(enum.Enum):
     NULL_IMPOSED = "null_imposed"
@@ -201,21 +206,32 @@ def batch_t1_clustered(
     return num, den
 
 
-def _t2_gram(a: np.ndarray, G: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _t2_gram(
+    a: np.ndarray, G: np.ndarray, K: np.ndarray, rtol: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`batch_t2` given the exposure Gram matrix ``K = S'S``.
 
     With Z* = S g*, ``sum Z*^2 = g*'K g*`` and ``S'Z* = K g*``, so every
     term is a J-vector per draw: O(L J^2) work and no (L, N) temporary.
     A draw whose simulated instrument has no positive squared norm gets
-    studentizer 0 (invalid).
+    studentizer 0 (invalid).  So does a draw whose studentizer is at or
+    below ``rtol`` times sqrt(sum_j (a_j g_j)^2 + c^2 sum_j ((Kg)_j g_j)^2),
+    c = num / g'Kg, the size of the two terms of a~_j g_j = a_j g_j -
+    c (Kg)_j g_j.  Callers pass ``T2_CANCELLATION_RTOL`` for the observed
+    shocks only: on every draw the check adds about 40% to the kernel's
+    time (L = 999, J = 200).
     """
     num = G @ a
     KG = G @ K
     ssq = (KG * G).sum(axis=1)
     safe = np.where(ssq > 0, ssq, 1.0)
-    a_tilde = a[None, :] - (num / safe)[:, None] * KG
+    c = num / safe
+    a_tilde = a[None, :] - c[:, None] * KG
     den = np.sqrt(((a_tilde * G) ** 2).sum(axis=1))
     den = np.where(ssq > 0, den, 0.0)
+    if rtol:
+        scale = np.sqrt(((a[None, :] * G) ** 2).sum(axis=1) + c**2 * ((KG * G) ** 2).sum(axis=1))
+        den = np.where(den > rtol * scale, den, 0.0)
     return num, den
 
 
@@ -272,5 +288,5 @@ def stat_t2(design: ShiftShareDesign, b: float) -> float:
     if not design.reduced_form:
         raise NotReducedFormError("T2 is defined for reduced-form designs (X = Z) only")
     a = sector_residual_sums(design.S, null_residuals(design, b).e_b)
-    num, den = _t2_gram(a, design.g[None, :], design.gram)
+    num, den = _t2_gram(a, design.g[None, :], design.gram, T2_CANCELLATION_RTOL)
     return _scalar(num, den, "T2")

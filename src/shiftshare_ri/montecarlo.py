@@ -425,6 +425,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind is not MethodKind.AKM_NORMAL and self.scheme is None:
             raise ConfigError(f"{self.kind.value} method needs a simulation scheme")
+        enumerable = isinstance(self.scheme, (SignChange, Permutation))
+        if self.kind is MethodKind.ENUMERATION and not enumerable:
+            raise ConfigError("exact enumeration supports sign-change and permutation schemes only")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.label:

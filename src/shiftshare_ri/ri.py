@@ -35,6 +35,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .estimator import (
+    T2_CANCELLATION_RTOL,
     ZERO_STUDENTIZER,
     batch_t0,
     batch_t1,
@@ -187,8 +188,8 @@ def psi(values, sidedness: Sidedness):
 
 
 def _tail_p(t_obs: float, values: np.ndarray, valid, sidedness: Sidedness, offset: int) -> float:
-    """(offset + #{psi(v) >= psi(t_obs)}) / (n + offset) over the n
-    values, with every value not marked ``valid`` counted as extreme.
+    """(offset + #{valid, psi(v) >= psi(t_obs)}) / (#{valid} + offset):
+    values not marked ``valid`` are conditioned out.
 
     Equal-tail tests report min(1, 2*min(p_right, p_left)); since both
     scalings are exact, that is <= alpha exactly when one side's
@@ -197,8 +198,9 @@ def _tail_p(t_obs: float, values: np.ndarray, valid, sidedness: Sidedness, offse
     if sidedness is Sidedness.EQUAL_TAIL:
         sides = (Sidedness.RIGHT_TAIL, Sidedness.LEFT_TAIL)
         return min(1.0, 2.0 * min(_tail_p(t_obs, values, valid, s, offset) for s in sides))
-    extreme = np.where(valid, psi(values, sidedness) >= psi(t_obs, sidedness), True)
-    return (offset + int(np.count_nonzero(extreme))) / (values.shape[0] + offset)
+    extreme = valid & (psi(values, sidedness) >= psi(t_obs, sidedness))
+    n_valid = int(np.count_nonzero(valid)) if np.ndim(valid) else values.shape[0]
+    return (offset + int(np.count_nonzero(extreme))) / (n_valid + offset)
 
 
 def p_value_from_stats(t_obs: float, t_sims: np.ndarray, sidedness: Sidedness) -> float:
@@ -271,11 +273,11 @@ class _NullProblem:
     the observed statistic ``t_obs``, built once per (design, spec).
 
     Degenerate-draw policy: a shock vector whose studentizer is
-    numerically zero has no valid statistic.  The sampled test
-    (:func:`simulate_null_statistics`) replaces such a draw from the
-    same draw's generator stream; exact enumeration and Berger-Boos keep
-    it and count it as at least as extreme as the observed statistic,
-    which can only make them more conservative.
+    numerically zero has no valid statistic, and every test conditions
+    on validity.  The sampled tests (ri_test, confidence_interval,
+    berger_boos_test) replace a degenerate draw by the next draws of its
+    own stream (:meth:`simulate`); exact enumeration leaves degenerate
+    group elements out of its counts.
     """
 
     def __init__(self, design: ShiftShareDesign, spec: TestSpec):
@@ -294,7 +296,7 @@ class _NullProblem:
             if (spec.cluster_studentizer and spec.statistic is Statistic.T1)
             else None
         )
-        values, valid = self.evaluate(design.g[None, :])
+        values, valid = self.evaluate(design.g[None, :], observed=True)
         if not valid[0]:
             raise ZeroVarianceError(
                 "the observed statistic has a numerically zero studentizer; "
@@ -302,10 +304,11 @@ class _NullProblem:
             )
         self.t_obs = float(values[0])
 
-    def evaluate(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, G: np.ndarray, observed: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Return (values, valid) per row of the shock matrix G, rows
         demeaned first when the spec asks for it; invalid values are
-        NaN."""
+        NaN; ``observed`` judges T2 studentizers against their rounding
+        scale, as :func:`shiftshare_ri.estimator._t2_gram` describes."""
         if self.spec.demean:
             G = G - G.mean(axis=1, keepdims=True)
         if self.spec.statistic is Statistic.T0:
@@ -317,48 +320,39 @@ class _NullProblem:
             else:
                 num, den = batch_t1_clustered(self.a, G, self.members)
         else:
-            num, den = _t2_gram(self.a, G, self.design.gram)
+            rtol = T2_CANCELLATION_RTOL if observed else 0.0
+            num, den = _t2_gram(self.a, G, self.design.gram, rtol)
         valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
         values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
         return values, valid
 
+    def simulate(self, draws: np.ndarray, scheme: SimulationScheme) -> tuple[np.ndarray, int]:
+        """Statistics of the draws of ``scheme`` and the number of
+        redraws: a degenerate draw l is replaced by the next draws of
+        its own keyed stream, up to ``MAX_ATTEMPTS_PER_DRAW`` in all."""
+        t_sims, valid = self.evaluate(draws)
+        bad = np.flatnonzero(~valid)
+        if bad.size == 0:
+            return t_sims, 0
 
-def simulate_null_statistics(
-    design: ShiftShareDesign,
-    spec: TestSpec,
-    threads: int = 1,
-    _raw_draws: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, int]:
-    """Observed statistic plus its L simulated counterparts.
+        def draw(rng):
+            d = self.design
+            return scheme.draw(rng, d.S, self.e_b, d.g, cluster_ids=d.cluster_ids)
 
-    Returns ``(t_obs, t_sims, n_degenerate_redraws)``.  Draws whose
-    studentizer is numerically zero are replaced by the next draws of
-    the same draw's generator stream, up to 10 attempts each.
-    ``threads`` is accepted but does not change results.
-    """
-    null = _NullProblem(design, spec)
-    if _raw_draws is None:
-        _raw_draws = generate_draws(design, spec.scheme, spec.L, spec.seed, b=spec.b, threads=threads)
-    t_sims, valid = null.evaluate(_raw_draws)
-
-    def draw(rng):
-        return spec.scheme.draw(rng, design.S, null.e_b, design.g, cluster_ids=design.cluster_ids)
-
-    n_redraws = 0
-    bad = np.flatnonzero(~valid)
-    for l, rng in zip(bad, keyed_generators(draw_keys(spec.seed, bad))):
-        draw(rng)  # the degenerate draw itself
-        for _ in range(1, MAX_ATTEMPTS_PER_DRAW):
-            n_redraws += 1
-            value, ok = null.evaluate(draw(rng)[None, :])
-            if ok[0]:
-                t_sims[l] = value[0]
-                break
-        else:
-            raise DegenerateDrawError(
-                f"draw {int(l)}: studentizer degenerate after {MAX_ATTEMPTS_PER_DRAW} attempts"
-            )
-    return null.t_obs, t_sims, n_redraws
+        n_redraws = 0
+        for l, rng in zip(bad, keyed_generators(draw_keys(self.spec.seed, bad))):
+            draw(rng)  # the degenerate draw itself
+            for _ in range(1, MAX_ATTEMPTS_PER_DRAW):
+                n_redraws += 1
+                value, ok = self.evaluate(draw(rng)[None, :])
+                if ok[0]:
+                    t_sims[l] = value[0]
+                    break
+            else:
+                raise DegenerateDrawError(
+                    f"draw {int(l)}: studentizer degenerate after {MAX_ATTEMPTS_PER_DRAW} attempts"
+                )
+        return t_sims, n_redraws
 
 
 def ri_test(
@@ -371,17 +365,19 @@ def ri_test(
 
     The simulated statistics re-evaluate the null-form statistic with
     the observed shocks replaced by each draw; for T2 this equals
-    rebuilding outcomes ``Y* = b Z* + e_b`` and re-estimating.
+    rebuilding outcomes ``Y* = b Z* + e_b`` and re-estimating.  Each
+    degenerate draw is replaced by the next draws of its own stream.
     ``threads`` is accepted but does not change results.
     """
-    t_obs, t_sims, n_redraws = simulate_null_statistics(
-        design, spec, threads=threads, _raw_draws=_raw_draws
-    )
-    p = p_value_from_stats(t_obs, t_sims, spec.sidedness)
-    reject = reject_by_order_statistic(t_obs, t_sims, spec.alpha, spec.sidedness)
+    null = _NullProblem(design, spec)
+    if _raw_draws is None:
+        _raw_draws = generate_draws(design, spec.scheme, spec.L, spec.seed, b=spec.b, threads=threads)
+    t_sims, n_redraws = null.simulate(_raw_draws, spec.scheme)
+    p = p_value_from_stats(null.t_obs, t_sims, spec.sidedness)
+    reject = reject_by_order_statistic(null.t_obs, t_sims, spec.alpha, spec.sidedness)
     t_sims.flags.writeable = False
     return RITestResult(
-        t_obs=t_obs, t_sims=t_sims, p_value=p, reject=reject, n_degenerate_redraws=n_redraws
+        t_obs=null.t_obs, t_sims=t_sims, p_value=p, reject=reject, n_degenerate_redraws=n_redraws
     )
 
 
@@ -399,8 +395,8 @@ def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestRe
     from the same evaluation is reported as ``t_obs``; the identity
     therefore always counts and the p-value is strictly positive.  The
     decision is ``p <= alpha``.  Group elements with a degenerate
-    studentizer are counted as extreme, which can only make the test
-    more conservative.
+    studentizer are conditioned out, p = #{valid, as extreme} / #{valid}:
+    under the null, g is uniform on the valid elements of its orbit.
     """
     null = _NullProblem(design, spec)
     scheme = spec.scheme
@@ -476,7 +472,9 @@ def berger_boos_test(
     confidence interval ``[m_lo, m_hi]`` for the symmetry point (held
     with confidence 1 - gamma) and adds gamma, capping at 1.  The same
     sign draws are reused at every grid point, so the supremum is not
-    inflated by simulation noise.
+    inflated by simulation noise.  Degenerate draws are replaced as in
+    :func:`ri_test`, so a point interval with ``gamma = 0`` gives the
+    plain test's p-value.
     """
     if not isinstance(spec.scheme, SignChange):
         raise ConfigError("the symmetry-point correction applies to sign-change schemes")
@@ -492,10 +490,8 @@ def berger_boos_test(
     kappa = spec.scheme.sign_block(keys, design.J, design.cluster_ids)
 
     grid = np.unique(np.linspace(m_lo, m_hi, grid_size)) if m_hi > m_lo else np.array([m_lo])
-    worst = max(
-        _tail_p(null.t_obs, *null.evaluate(kappa * (design.g - m)[None, :] + m), spec.sidedness, 1)
-        for m in grid
-    )
+    sims = (null.simulate(kappa * (design.g - m)[None, :] + m, replace(spec.scheme, m=m)) for m in grid)
+    worst = max(p_value_from_stats(null.t_obs, t_sims, spec.sidedness) for t_sims, _ in sims)
     return min(1.0, worst + gamma)
 
 

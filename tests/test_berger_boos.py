@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_design
+from conftest import identity_design, make_design
 from shiftshare_ri import (
     ConfigError,
+    DegenerateDrawError,
     IIDNormal,
+    Sidedness,
     SignChange,
     Statistic,
     TestSpec,
@@ -26,6 +28,25 @@ def test_point_interval_with_zero_gamma_matches_plain_test():
         plain = ri_test(d, spec_bb(m=m)).p_value
         corrected = berger_boos_test(d, spec_bb(m=m), m, m, gamma=0.0)
         assert corrected == plain
+    # a = (3, 1), g = (2, 2), m = 1: the all-minus draw is degenerate and
+    # both tests replace it from the same stream
+    d = identity_design([3.0, 1.0], [2.0, 2.0])
+    for sidedness in Sidedness:
+        spec = spec_bb(m=1.0, L=199, seed=17, sidedness=sidedness)
+        plain = ri_test(d, spec)
+        assert plain.n_degenerate_redraws > 0
+        assert berger_boos_test(d, spec, 1.0, 1.0, gamma=0.0) == plain.p_value
+
+
+def test_degenerate_draws_past_the_redraw_budget_raise_as_in_the_plain_test():
+    # T2 at a = (3, 1), g = (2, 2): at m = 1 every sign draw but the
+    # identity is degenerate; the 5-point grid on [0.6, 1.4] holds m = 1
+    d = identity_design([3.0, 1.0], [2.0, 2.0])
+    spec = spec_bb(m=1.0, statistic=Statistic.T2, L=199, seed=17)
+    with pytest.raises(DegenerateDrawError):
+        ri_test(d, spec)
+    with pytest.raises(DegenerateDrawError):
+        berger_boos_test(d, spec, 0.6, 1.4, gamma=0.0, grid_size=5)
 
 
 def test_gamma_shifts_the_p_value_additively():

@@ -4,14 +4,20 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from shiftshare_ri import (
     SignChange,
     Statistic,
     TestSpec,
+    ZeroVarianceError,
+    berger_boos_test,
+    confidence_interval,
+    exact_enumeration_test,
     load_design,
     ri_test,
     shift_share_estimate,
+    stat_t2,
 )
 from shiftshare_ri.cli import main
 
@@ -84,6 +90,41 @@ def test_concentrated_example_warns_about_concentration(capsys):
     payload = json.loads(out)
     assert payload["hhi"] > 0.9  # one sector carries nearly all importance
     assert any("concentration" in w for w in payload["warnings"])
+
+
+T2_ENTRY_POINTS = {
+    "ri_test": lambda d, spec: ri_test(d, spec),
+    "confidence_interval": lambda d, spec: confidence_interval(d, spec, [0.0, 0.2, 0.6]),
+    "berger_boos_test": lambda d, spec: berger_boos_test(d, spec, -0.1, 0.1, gamma=0.01),
+    "exact_enumeration_test": lambda d, spec: exact_enumeration_test(d, spec),
+    "stat_t2": lambda d, spec: stat_t2(d, spec.b),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(T2_ENTRY_POINTS))
+def test_t2_on_rank_deficient_exposures_is_zero_variance(entry):
+    # every unit has the same exposure row, so S has rank 1 and the T2
+    # studentizer is exactly zero for every shock vector; what the
+    # arithmetic leaves of it is rounding residue
+    design = load_design(
+        DEMOS / "data" / "outcomes.csv",
+        DEMOS / "data" / "exposures_concentrated.csv",
+        DEMOS / "data" / "shocks.csv",
+    )
+    spec = TestSpec(b=0.2, statistic=Statistic.T2, scheme=SignChange(), L=99, seed=0)
+    with pytest.raises(ZeroVarianceError):
+        T2_ENTRY_POINTS[entry](design, spec)
+
+
+def test_t2_on_rank_deficient_exposures_exits_3(capsys):
+    code = main([
+        "test", *data_args("exposures_concentrated.csv"), "--b", "0.2", "--stat", "t2",
+        "--L", "99", "--format", "json",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "studentizer" in captured.err
 
 
 def test_bundled_experiment_config_level_and_determinism(capsys):

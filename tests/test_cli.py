@@ -192,6 +192,17 @@ def test_diagnose_matches_library(capsys, data):
     assert obj["warnings"] == list(rep.warnings)
 
 
+@pytest.mark.parametrize(
+    "flag", [["--alpha", "0.3"], ["--sided", "left"], ["--clustered"]]
+)
+def test_diagnose_rejects_decision_flags(capsys, data, flag):
+    # the report takes no level, sidedness or clustered studentizer
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", *base_args(data), "--b", "0.1", "--L", "50", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_simulate_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("n = 8\nj = 8\nreps = 100\nl = 19\nseed = 2\nmethods = ri-t1\n")
@@ -272,6 +283,15 @@ def test_exit_code_3_on_degenerate_statistic(capsys, data):
     )
     assert code == 3
     assert "studentizer" in err
+
+
+def test_simulate_rejects_enumeration_with_bootstrap_before_any_rep(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 8\nj = 8\nreps = 100\nscheme = bootstrap\nmethods = ri-t1, enumeration\n")
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "sign-change and permutation schemes only" in err
 
 
 def test_unknown_flag_exits_2(data):

@@ -20,8 +20,8 @@ from shiftshare_ri import (
     normality_distance,
     prop2_conditions,
     prop3_conditions,
+    ri_test,
     sector_residual_sums,
-    simulate_null_statistics,
 )
 
 
@@ -166,7 +166,7 @@ def test_normality_distance_matches_manual_route():
     d = make_design(seed=12, N=30, J=10)
     spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=IIDNormal(), L=5, seed=6)
     dist = normality_distance(d, 0.2, spec, 300)
-    _, sims, _ = simulate_null_statistics(d, replace(spec, b=0.2, L=300))
+    sims = ri_test(d, replace(spec, b=0.2, L=300)).t_sims
     assert dist == pytest.approx(ks_to_standard_normal(sims), abs=0.0)
 
 

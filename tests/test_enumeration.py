@@ -40,14 +40,29 @@ def test_sign_change_group_j2_hand_case():
     assert res_r.p_value == pytest.approx(0.25)
 
 
-def test_degenerate_group_element_counts_as_extreme():
+def test_degenerate_group_element_is_conditioned_out():
     # a = (3, 1), g = (2, 2), m = 1: kappa = (-1, -1) gives g* = 0, whose
-    # studentizer vanishes; that element stays in the group and counts
-    # as extreme, next to the observed statistic itself
+    # studentizer vanishes; that element leaves both counts, so only the
+    # observed statistic itself is extreme among the three valid elements
     d = identity_design([3.0, 1.0], [2.0, 2.0])
     res = exact_enumeration_test(d, spec_enum(scheme=SignChange(m=1.0)))
     assert np.count_nonzero(np.isnan(res.t_sims)) == 1
-    assert res.p_value == 0.5
+    assert res.p_value == 1 / 3
+
+
+@pytest.mark.parametrize("sidedness", list(Sidedness))
+def test_enumeration_agrees_with_sampled_test_on_degenerate_design(sidedness):
+    # the sampled test replaces the degenerate draw, enumeration leaves
+    # the degenerate element out; both sample the same conditional law
+    d = identity_design([3.0, 1.0], [2.0, 2.0])
+    spec = spec_enum(scheme=SignChange(m=1.0), L=9999, seed=17, sidedness=sidedness)
+    exact = exact_enumeration_test(d, spec).p_value
+    sampled = ri.ri_test(d, spec)
+    assert sampled.n_degenerate_redraws > 0
+    se = np.sqrt(exact * (1 - exact) / spec.L)
+    if sidedness is Sidedness.EQUAL_TAIL:
+        se *= 2  # p = 2 * min(p_right, p_left)
+    assert abs(sampled.p_value - exact) <= 5 * se + 2 / (spec.L + 1)
 
 
 def test_permutation_group_j3_matches_brute_force():

@@ -296,6 +296,22 @@ def test_method_spec_labels_and_validation():
         MethodSpec(kind=MethodKind.AKM_NORMAL, alpha=1.5)
 
 
+@pytest.mark.parametrize(
+    "scheme", [IIDNormal(), RecentredBootstrap(), KnownDistribution(lambda rng, S, e_b, g: g)]
+)
+def test_enumeration_method_needs_a_group_scheme(scheme):
+    with pytest.raises(ConfigError, match="sign-change and permutation schemes only"):
+        MethodSpec(MethodKind.ENUMERATION, scheme=scheme)
+
+
+@pytest.mark.parametrize("token", ["bootstrap", "normal"])
+def test_config_pairing_enumeration_with_a_sampled_scheme_fails_to_parse(tmp_path, token):
+    cfg = tmp_path / "enum.cfg"
+    cfg.write_text(f"n = 6\nj = 6\nscheme = {token}\nmethods = ri-t1, enumeration\n")
+    with pytest.raises(ConfigError, match="sign-change and permutation schemes only"):
+        parse_experiment_config(cfg)
+
+
 def test_build_scheme_tokens():
     assert build_scheme("sign-change", m=0.3).m == 0.3
     assert build_scheme("normal", sigma=2.0).sigma == 2.0

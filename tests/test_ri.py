@@ -24,7 +24,6 @@ from shiftshare_ri import (
     reject_by_order_statistic,
     reject_by_pvalue,
     ri_test,
-    simulate_null_statistics,
 )
 from shiftshare_ri.design import ShiftShareDesign
 from shiftshare_ri.estimator import batch_t1, sector_residual_sums
@@ -260,14 +259,6 @@ def test_hopeless_sampler_exhausts_redraw_budget():
     d = make_design(seed=12)
     with pytest.raises(DegenerateDrawError, match="draw 0"):
         ri_test(d, spec_t1(scheme=always_zero, L=5))
-
-
-def test_simulate_null_statistics_returns_triple():
-    d = make_design(seed=13)
-    t_obs, t_sims, n_redraws = simulate_null_statistics(d, spec_t1(L=31))
-    assert isinstance(t_obs, float)
-    assert t_sims.shape == (31,)
-    assert n_redraws == 0
 
 
 def test_t0_draws_never_need_redraws():
