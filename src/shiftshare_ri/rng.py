@@ -14,9 +14,12 @@ streams.  The engine computes the same streams in one batch:
 key that ``SeedSequence(seed, spawn_key=(DOMAIN_SCHEME_DRAW, l))``
 derives; :func:`philox_words` evaluates the Philox4x64-10 output blocks
 of all those keys at once; :func:`sign_bits` reads the draws of
-``Generator.integers(0, 2, size=n)`` from them; and
+``Generator.integers(0, 2, size=n)`` from them (sign changes), and
+:func:`bounded_integers` those of ``Generator.integers(0, high, size=n)``
+(bootstrap indices), flagging the rare rows it cannot compute; and
 :func:`keyed_generators` resets one reusable generator to the start of
-each keyed stream for draws that need a full ``Generator``.
+each keyed stream for draws that need a full ``Generator``: permutation,
+normal and user-supplied draws, flagged bootstrap rows and redraws.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ def philox_words(keys: np.ndarray, n_blocks: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=2).reshape(keys.shape[0], -1)
+    return np.stack([c0, c1, c2, c3], axis=2).reshape(keys.shape[0], 4 * shape[1])
 
 
 def sign_bits(keys: np.ndarray, n: int) -> np.ndarray:
@@ -193,7 +196,38 @@ def sign_bits(keys: np.ndarray, n: int) -> np.ndarray:
     n_words = (int(n) + 1) // 2
     raw = philox_words(keys, -(-n_words // 4))[:, :n_words]
     bits = np.stack([(raw >> 31) & 1, raw >> 63], axis=2)
-    return bits.reshape(raw.shape[0], -1)[:, : int(n)]
+    return bits.reshape(raw.shape[0], 2 * n_words)[:, : int(n)]
+
+
+def bounded_integers(keys: np.ndarray, high: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``Generator.integers(0, high, size=n)`` as the first
+    call on each key's fresh stream, and where they are not known.
+
+    Returns ``(values, rejected)``: int64 values of shape (n_keys, n)
+    and a bool flag per key.  numpy draws each value by Lemire's bounded
+    method on one 32-bit word, the low and then the high half of each
+    raw 64-bit output: with ``m = u32 * high`` the value is ``m >> 32``,
+    unless the low half of ``m`` is below ``(2**32 - high) % high``.
+    Then numpy draws another word and every later value of the row
+    shifts, so the row is flagged and its values are meaningless; the
+    caller redraws it from the key's generator.  A value is rejected
+    with probability below ``high / 2**32``, and never when ``high`` is
+    a power of two.
+    """
+    high, n = int(high), int(n)
+    if not 1 <= high < 2**32:
+        raise ValueError(f"high must lie in [1, 2**32), got {high}")
+    n_words = (n + 1) // 2
+    raw = philox_words(keys, -(-n_words // 4))
+    words = np.empty((raw.shape[0], 2 * n_words), dtype=np.uint64)
+    np.bitwise_and(raw[:, :n_words], _MASK32, out=words[:, 0::2])
+    np.right_shift(raw[:, :n_words], 32, out=words[:, 1::2])
+    del raw
+    words = words[:, :n]
+    words *= np.uint64(high)
+    rejected = ((words & _MASK32) < (2**32 - high) % high).any(axis=1)
+    words >>= np.uint64(32)
+    return words.view(np.int64), rejected
 
 
 def keyed_generators(keys: np.ndarray):
@@ -207,13 +241,16 @@ def keyed_generators(keys: np.ndarray):
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     zeros = np.zeros(4, dtype=np.uint64)
+    # the setter copies the values out, so one dict serves every key
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": zeros[:2]},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for key in np.asarray(keys, dtype=np.uint64):
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        state["state"]["key"] = key
+        bit_generator.state = state
         yield rng

@@ -7,9 +7,11 @@ receive both), though the built-in schemes use only the observed shocks.
 
 ``draw_block`` produces the draws of a whole test at once, one row per
 key of :func:`rng.draw_keys`, each row equal to ``draw`` on that key's
-fresh stream.  Sign changes compute their rows from the Philox output
-directly; the other schemes call ``draw`` once per row on one reusable
-generator reset to each key.
+fresh stream.  Sign changes and the recentred bootstrap compute their
+rows from the Philox output of all keys at once; a bootstrap row that
+hits Lemire's rejection branch is redrawn by ``draw``.  Permutation,
+normal and user-supplied samplers call ``draw`` once per row on one
+reusable generator reset to each key.
 
 Schemes also report per-coordinate moments (mean, second, fourth) of
 their draws, which feed the asymptotic-condition diagnostics.  For the
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataValidationError
-from .rng import DOMAIN_MOMENTS, keyed_generators, sign_bits, stream
+from .rng import DOMAIN_MOMENTS, bounded_integers, keyed_generators, sign_bits, stream
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,14 @@ class RecentredBootstrap(SimulationScheme):
         pool = g - g.mean()
         idx = rng.integers(0, g.shape[0], size=g.shape[0])
         return pool[idx]
+
+    def draw_block(self, keys, S, e_b, g, cluster_ids=None):
+        idx, rejected = bounded_integers(keys, g.shape[0], g.shape[0])
+        G = (g - g.mean())[idx]
+        rows = np.flatnonzero(rejected)
+        for row, rng in zip(rows, keyed_generators(keys[rows])):
+            G[row] = self.draw(rng, S, e_b, g, cluster_ids=cluster_ids)
+        return G
 
     def moments(self, g, S=None, e_b=None, n_mc=2000, seed=0):
         pool = g - g.mean()

@@ -1,6 +1,12 @@
 import numpy as np
+from hypothesis import settings
 
 from shiftshare_ri import ShiftShareDesign
+
+# Property tests draw the same examples on every run, so Tier-1 stays
+# deterministic; no example database is written.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def make_design(seed=0, N=12, J=5, reduced_form=True, cluster_ids=None, beta=0.7):

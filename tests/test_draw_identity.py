@@ -126,6 +126,21 @@ def test_sign_change_redraws_replay_the_per_draw_streams():
     assert result.t_sims.tobytes() == t_sims.tobytes()
 
 
+@pytest.mark.parametrize("statistic", [Statistic.T1, Statistic.T2])
+def test_bootstrap_redraws_replay_the_per_draw_streams(statistic):
+    # g = (0, 1, 2): the pool is (-1, 0, 1), and an all-middle draw is zero
+    d = identity_design([3.0, 1.0, -2.0], [0.0, 1.0, 2.0])
+    for seed in (0, 2**64 - 1):
+        spec = TestSpec(
+            b=0.0, statistic=statistic, scheme=RecentredBootstrap(), L=299, seed=seed
+        )
+        result = ri_test(d, spec)
+        t_sims, n_redraws = old_simulation(d, spec)
+        assert n_redraws > 0
+        assert result.n_degenerate_redraws == n_redraws
+        assert result.t_sims.tobytes() == t_sims.tobytes()
+
+
 @pytest.mark.parametrize("scheme", [SignChange(), SignChange(m=0.4, by_cluster=True)])
 @pytest.mark.parametrize("statistic", [Statistic.T0, Statistic.T1, Statistic.T2])
 def test_berger_boos_equals_per_draw_signs(scheme, statistic):

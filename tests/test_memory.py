@@ -1,10 +1,21 @@
 """Memory bounds: the T2 engine and exact enumeration never build an
-(L, N) or a (|group|, J) float64 matrix."""
+(L, N) or a (|group|, J) float64 matrix, and batched bootstrap draws
+cost no more memory than batched sign changes."""
 
 import tracemalloc
 
+import numpy as np
+
 from conftest import make_design
-from shiftshare_ri import SignChange, Statistic, TestSpec, exact_enumeration_test, ri_test
+from shiftshare_ri import (
+    RecentredBootstrap,
+    SignChange,
+    Statistic,
+    TestSpec,
+    exact_enumeration_test,
+    ri_test,
+)
+from shiftshare_ri.rng import draw_keys
 
 
 def _peak_bytes(fn):
@@ -30,3 +41,15 @@ def test_sign_change_enumeration_peaks_below_one_group_by_sectors_matrix():
     spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=1)
     exact_enumeration_test(d, spec)
     assert _peak_bytes(lambda: exact_enumeration_test(d, spec)) < 8 * 2**J * J
+
+
+def test_bootstrap_draw_block_peaks_no_higher_than_sign_changes():
+    L, J = 999, 200
+    g = np.random.default_rng(4).normal(size=J)
+    keys = draw_keys(5, np.arange(L))
+
+    def peak(scheme):
+        scheme.draw_block(keys, None, None, g)
+        return _peak_bytes(lambda: scheme.draw_block(keys, None, None, g))
+
+    assert peak(RecentredBootstrap()) <= peak(SignChange())

@@ -13,11 +13,14 @@ from shiftshare_ri import (
     SignChange,
     generate_draws,
 )
+from shiftshare_ri import rng as rng_module
+from shiftshare_ri import schemes as schemes_module
 from shiftshare_ri.rng import (
     DOMAIN_DATASET,
     DOMAIN_EXPERIMENT,
     DOMAIN_MOMENTS,
     DOMAIN_SCHEME_DRAW,
+    bounded_integers,
     draw_keys,
     draw_stream,
     keyed_generators,
@@ -157,6 +160,13 @@ def test_generate_draws_is_c_contiguous_float64():
         assert G.flags.c_contiguous
 
 
+def test_no_draws_is_an_empty_block():
+    d = make_design(seed=5, N=10, J=6, cluster_ids=np.array([0, 1, 0, 2, 1, 2]))
+    for scheme in (SignChange(), SignChange(by_cluster=True), Permutation(), RecentredBootstrap()):
+        G = generate_draws(d, scheme, 0, seed=2)
+        assert G.dtype == np.float64 and G.shape == (0, 6)
+
+
 def test_draw_keys_reject_indices_beyond_one_spawn_word():
     with pytest.raises(ConfigError):
         draw_keys(0, [2**32])
@@ -164,3 +174,98 @@ def test_draw_keys_reject_indices_beyond_one_spawn_word():
         draw_keys(0, [-1])
     with pytest.raises(ConfigError):
         draw_keys(-1, [0])
+
+
+# ---------------------------------------------------------------------------
+# Batched bounded integers (the recentred bootstrap's indices)
+
+BOUNDED_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", BOUNDED_SEEDS)
+@pytest.mark.parametrize("high", (1, 2, 3, 7, 8, 12, 13, 200, 1000))
+def test_bounded_integers_equal_per_draw_integers(seed, high):
+    for n in sorted({1, 7, high}):
+        values, rejected = bounded_integers(draw_keys(seed, INDICES), high, n)
+        assert values.dtype == np.int64 and values.shape == (INDICES.size, n)
+        # a rejection has probability below n * high / 2**32 per row,
+        # and none happens on these keys
+        assert rejected.dtype == bool and not rejected.any()
+        for row, l in zip(values, INDICES):
+            npt.assert_array_equal(row, draw_stream(seed, int(l)).integers(0, high, size=n))
+
+
+def test_bounded_integers_of_one_key():
+    for seed in BOUNDED_SEEDS:
+        values, rejected = bounded_integers(draw_keys(seed, [3]), 12, 12)
+        assert values.shape == (1, 12) and not rejected[0]
+        npt.assert_array_equal(values[0], draw_stream(seed, 3).integers(0, 12, size=12))
+
+
+def test_bounded_integers_flag_every_rejection_on_a_wide_range():
+    # at high = 2**31 + 1 almost half of all words are rejected
+    high, L = 2**31 + 1, 200
+    values, rejected = bounded_integers(draw_keys(9, np.arange(L)), high, 3)
+    assert 0 < rejected.sum() < L
+    for l in np.flatnonzero(~rejected):
+        npt.assert_array_equal(values[l], draw_stream(9, int(l)).integers(0, high, size=3))
+
+
+def crafted_words(zero_rows):
+    """A philox_words stand-in: random words, all zero on chosen rows."""
+
+    def words(keys, n_blocks):
+        out = np.random.default_rng(0).integers(
+            0, 2**64, size=(keys.shape[0], 4 * n_blocks), dtype=np.uint64
+        )
+        out[zero_rows] = 0
+        return out
+
+    return words
+
+
+def test_a_rejected_word_flags_its_row(monkeypatch):
+    # word 0 is rejected for every range that is not a power of two
+    monkeypatch.setattr(rng_module, "philox_words", crafted_words([1, 4]))
+    keys = draw_keys(0, np.arange(6))
+    _, rejected = bounded_integers(keys, 12, 12)
+    npt.assert_array_equal(np.flatnonzero(rejected), [1, 4])
+    values, rejected = bounded_integers(keys, 8, 12)
+    assert not rejected.any()
+    npt.assert_array_equal(values[[1, 4]], 0)
+
+
+@pytest.mark.parametrize("J", (1, 3, 12, 13))
+def test_bootstrap_rows_flagged_as_rejected_are_redrawn(monkeypatch, J):
+    chosen = [0, 5, 49]
+    real = rng_module.bounded_integers
+
+    def forced(keys, high, n):
+        values, rejected = real(keys, high, n)
+        values[chosen] = 0  # wrong on purpose: the redraw must replace them
+        rejected[chosen] = True
+        return values, rejected
+
+    monkeypatch.setattr(schemes_module, "bounded_integers", forced)
+    g = np.linspace(-1.0, 2.0, J) ** 3
+    seed = 2**63 + 7
+    block = RecentredBootstrap().draw_block(draw_keys(seed, np.arange(50)), None, None, g)
+    expected = np.stack(
+        [RecentredBootstrap().draw(draw_stream(seed, l), None, None, g) for l in range(50)]
+    )
+    assert block.tobytes() == expected.tobytes()
+
+
+def test_bootstrap_draw_block_is_c_contiguous_float64():
+    for J in (1, 7, 12):
+        g = np.arange(J, dtype=np.float64)
+        block = RecentredBootstrap().draw_block(draw_keys(4, np.arange(9)), None, None, g)
+        assert block.dtype == np.float64 and block.shape == (9, J)
+        assert block.flags.c_contiguous
+
+
+def test_bounded_integers_reject_ranges_outside_32_bits():
+    keys = draw_keys(0, [0])
+    for high in (0, 2**32):
+        with pytest.raises(ValueError, match="high"):
+            bounded_integers(keys, high, 3)
