@@ -30,8 +30,9 @@ class DegenerateInstrumentError(NumericDegeneracyError):
 
 
 class ZeroVarianceError(NumericDegeneracyError):
-    """A studentizer underflowed to zero: the null residuals are
-    orthogonal to every shocked sector."""
+    """The studentizer at the observed shocks is numerically zero: the null
+    (T1) or plug-in (T2) residuals are orthogonal to every shocked sector,
+    which for T2 holds at any shocks when the exposure matrix has rank one."""
 
 
 class NotReducedFormError(ShiftShareError):

@@ -15,6 +15,11 @@ handling are left to the caller.  The T2 kernel also needs the simulated
 instrument Z* = S g*, but only through ``sum Z*^2`` and ``S'Z*``, both
 of which it takes from the J x J Gram matrix ``S'S``: its cost is
 O(L J^2) and it never builds an (L, N) matrix.
+
+The test statistics are defined here, once: ``_NullStatistic``
+evaluates one null hypothesis's statistic, and judges its validity, on
+any matrix of shock vectors, the observed row included; ``stat_t1``,
+``stat_t2`` and every test in :mod:`shiftshare_ri.ri` read it.
 """
 
 from __future__ import annotations
@@ -248,13 +253,6 @@ def batch_t2(a: np.ndarray, G: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, n
     return _t2_gram(a, G, S.T @ S)
 
 
-def _scalar(num: np.ndarray, den: np.ndarray, what: str) -> float:
-    num, den = float(num[0]), float(den[0])
-    if not np.isfinite(den) or den <= ZERO_STUDENTIZER:
-        raise ZeroVarianceError(f"{what}: studentizer {den:.3e} is numerically zero")
-    return num / den
-
-
 def stat_t0(g: np.ndarray, S: np.ndarray, e_b: np.ndarray) -> float:
     """Unstudentized statistic ``(1/N) sum_i (s_i'g) e_b[i]``."""
     S = np.asarray(S, dtype=np.float64)
@@ -262,31 +260,92 @@ def stat_t0(g: np.ndarray, S: np.ndarray, e_b: np.ndarray) -> float:
     return float(batch_t0(a, np.asarray(g, dtype=np.float64)[None, :], S.shape[0])[0])
 
 
-def stat_t1(design: ShiftShareDesign, b: float, clustered: bool = False) -> float:
-    """Null-studentized statistic at the observed shocks.
+# ---------------------------------------------------------------------------
+# The statistic of a test as one function of the shocks
 
-    Evaluates the residual form ``sum_j a_j g_j / sqrt(sum_j a_j^2
-    g_j^2)``, which agrees with ``(beta_hat - b)/sqrt(V)`` under the
-    null-imposed variance whenever ``sum(Z*X) > 0`` (always in the
-    reduced form).  With ``clustered=True`` the studentizer sums within
-    shock clusters before squaring.
+
+class Statistic(enum.Enum):
+    """Which test statistic to simulate.
+
+    T0 is the unstudentized exposure-weighted residual average, T1 the
+    null-studentized ratio, T2 the estimate-studentized ratio (reduced
+    form only).
     """
-    a = sector_residual_sums(design.S, null_residuals(design, b).e_b)
-    G = design.g[None, :]
-    if clustered:
-        if design.cluster_ids is None:
-            raise DataValidationError("clustered studentizer requested but design has no cluster_ids")
-        num, den = batch_t1_clustered(a, G, cluster_members(design.cluster_ids))
-    else:
-        num, den = batch_t1(a, G)
-    return _scalar(num, den, "T1")
+
+    T0 = "t0"
+    T1 = "t1"
+    T2 = "t2"
+
+
+# What leaves the statistic undefined at the observed shocks.
+_UNDEFINED_AT_OBSERVED = {
+    Statistic.T0: "is not finite",
+    Statistic.T1: "has a numerically zero studentizer: the null residuals are orthogonal to every "
+    "shocked sector",
+    Statistic.T2: "has a numerically zero studentizer: the exposure matrix has rank one (e.g. every "
+    "unit has the same exposure row), or the null residuals' projection on the exposures is "
+    "otherwise collinear with the instrument",
+}
+
+
+class _NullStatistic:
+    """The statistic at null value ``b`` as a function of the shocks:
+    the null residuals ``e_b``, their sector sums ``a``, the cluster
+    members of a clustered T1 studentizer, and ``t_obs``, the row of
+    :meth:`evaluate` at the observed shocks."""
+
+    def __init__(
+        self, design: ShiftShareDesign, b: float, statistic: Statistic, clustered=False, demean=False
+    ):
+        if statistic is Statistic.T2 and not design.reduced_form:
+            raise NotReducedFormError("the T2 statistic needs a reduced-form design (X = Z)")
+        if clustered and design.cluster_ids is None:
+            raise DataValidationError("cluster_studentizer=True but the design has no cluster_ids")
+        self.design = design
+        self.statistic = statistic
+        self.demean = demean
+        self.e_b = null_residuals(design, b).e_b
+        self.a = sector_residual_sums(design.S, self.e_b)
+        self.members = cluster_members(design.cluster_ids) if clustered else None
+        values, valid = self.evaluate(design.g[None, :], observed=True)
+        if not valid[0]:
+            raise ZeroVarianceError(
+                f"the observed {statistic.name} statistic {_UNDEFINED_AT_OBSERVED[statistic]}"
+            )
+        self.t_obs = float(values[0])
+
+    def evaluate(self, G: np.ndarray, observed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Return (values, valid) per row of the shock matrix G, rows
+        demeaned first when asked for; invalid values are NaN;
+        ``observed`` judges T2 studentizers against their rounding
+        scale, as :func:`_t2_gram` describes."""
+        if self.demean:
+            G = G - G.mean(axis=1, keepdims=True)
+        if self.statistic is Statistic.T0:
+            values = batch_t0(self.a, G, self.design.N)
+            return values, np.isfinite(values)
+        if self.statistic is Statistic.T1:
+            if self.members is None:
+                num, den = batch_t1(self.a, G)
+            else:
+                num, den = batch_t1_clustered(self.a, G, self.members)
+        else:
+            num, den = _t2_gram(self.a, G, self.design.gram, T2_CANCELLATION_RTOL if observed else 0.0)
+        valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
+        values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
+        return values, valid
+
+
+def stat_t1(design: ShiftShareDesign, b: float, clustered: bool = False) -> float:
+    """Null-studentized statistic at the observed shocks: the residual
+    form ``sum_j a_j g_j / sqrt(sum_j a_j^2 g_j^2)``, which agrees with
+    ``(beta_hat - b)/sqrt(V)`` under the null-imposed variance whenever
+    ``sum(Z*X) > 0`` (always in the reduced form).  With ``clustered=True``
+    the studentizer sums within shock clusters before squaring."""
+    return _NullStatistic(design, b, Statistic.T1, clustered=clustered).t_obs
 
 
 def stat_t2(design: ShiftShareDesign, b: float) -> float:
     """Estimate-studentized statistic ``(beta_hat - b)/sqrt(V_plugin)``
     at the observed shocks; reduced-form designs only."""
-    if not design.reduced_form:
-        raise NotReducedFormError("T2 is defined for reduced-form designs (X = Z) only")
-    a = sector_residual_sums(design.S, null_residuals(design, b).e_b)
-    num, den = _t2_gram(a, design.g[None, :], design.gram, T2_CANCELLATION_RTOL)
-    return _scalar(num, den, "T2")
+    return _NullStatistic(design, b, Statistic.T2).t_obs

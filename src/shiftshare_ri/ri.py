@@ -7,6 +7,8 @@ as the observed one, the p-value is (1 + K)/(L + 1) and the decision
 uses the order-statistic form: reject when the observed value strictly
 exceeds the k-th smallest simulated value, k = L + 1 - ceil(alpha(L+1)).
 The two forms agree on every instance, ties included; both are exposed.
+The statistics themselves, observed and simulated, are defined in
+:mod:`shiftshare_ri.estimator`; this module draws, counts and decides.
 
 Determinism contract: each draw l has its own counter-based generator
 keyed by (seed, draw domain, l), so extending L keeps the first draws
@@ -31,19 +33,8 @@ from .errors import (
     DataValidationError,
     DegenerateDrawError,
     EnumerationSizeError,
-    NotReducedFormError,
-    ZeroVarianceError,
 )
-from .estimator import (
-    T2_CANCELLATION_RTOL,
-    ZERO_STUDENTIZER,
-    batch_t0,
-    batch_t1,
-    batch_t1_clustered,
-    _t2_gram,
-    cluster_members,
-    sector_residual_sums,
-)
+from .estimator import Statistic, _NullStatistic
 from .rng import draw_keys, keyed_generators
 from .schemes import KnownDistribution, Permutation, SignChange, SimulationScheme
 
@@ -56,19 +47,6 @@ ENUMERATION_LIMIT = 2**20
 # Exact enumeration evaluates the group this many elements at a time, so
 # its temporaries stay a few MB however large the group is.
 _ENUM_BLOCK = 2**14
-
-
-class Statistic(enum.Enum):
-    """Which test statistic to simulate.
-
-    T0 is the unstudentized exposure-weighted residual average, T1 the
-    null-studentized ratio, T2 the estimate-studentized ratio (reduced
-    form only).
-    """
-
-    T0 = "t0"
-    T1 = "t1"
-    T2 = "t2"
 
 
 class Sidedness(enum.Enum):
@@ -267,10 +245,10 @@ def generate_draws(
 # The null problem shared by the sampled, enumerated and Berger-Boos tests
 
 
-class _NullProblem:
-    """One test's null problem: the null residuals ``e_b``, their sector
-    sums ``a``, the cluster members of a clustered T1 studentizer, and
-    the observed statistic ``t_obs``, built once per (design, spec).
+class _NullProblem(_NullStatistic):
+    """One test's null problem: the statistic of ``spec`` at ``spec.b``
+    (:class:`~shiftshare_ri.estimator._NullStatistic`) and the draws of
+    its scheme, built once per (design, spec).
 
     Degenerate-draw policy: a shock vector whose studentizer is
     numerically zero has no valid statistic, and every test conditions
@@ -281,50 +259,10 @@ class _NullProblem:
     """
 
     def __init__(self, design: ShiftShareDesign, spec: TestSpec):
-        if spec.statistic is Statistic.T2 and not design.reduced_form:
-            raise NotReducedFormError("the T2 statistic needs a reduced-form design (X = Z)")
-        if spec.cluster_studentizer and design.cluster_ids is None:
-            raise DataValidationError("cluster_studentizer=True but the design has no cluster_ids")
         if isinstance(spec.scheme, SignChange) and spec.scheme.by_cluster and design.cluster_ids is None:
             raise DataValidationError("by_cluster sign changes need cluster_ids on the design")
-        self.design = design
         self.spec = spec
-        self.e_b = null_residuals(design, spec.b).e_b
-        self.a = sector_residual_sums(design.S, self.e_b)
-        self.members = (
-            cluster_members(design.cluster_ids)
-            if (spec.cluster_studentizer and spec.statistic is Statistic.T1)
-            else None
-        )
-        values, valid = self.evaluate(design.g[None, :], observed=True)
-        if not valid[0]:
-            raise ZeroVarianceError(
-                "the observed statistic has a numerically zero studentizer; "
-                "the null residuals are orthogonal to every shocked sector"
-            )
-        self.t_obs = float(values[0])
-
-    def evaluate(self, G: np.ndarray, observed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, valid) per row of the shock matrix G, rows
-        demeaned first when the spec asks for it; invalid values are
-        NaN; ``observed`` judges T2 studentizers against their rounding
-        scale, as :func:`shiftshare_ri.estimator._t2_gram` describes."""
-        if self.spec.demean:
-            G = G - G.mean(axis=1, keepdims=True)
-        if self.spec.statistic is Statistic.T0:
-            values = batch_t0(self.a, G, self.design.N)
-            return values, np.isfinite(values)
-        if self.spec.statistic is Statistic.T1:
-            if self.members is None:
-                num, den = batch_t1(self.a, G)
-            else:
-                num, den = batch_t1_clustered(self.a, G, self.members)
-        else:
-            rtol = T2_CANCELLATION_RTOL if observed else 0.0
-            num, den = _t2_gram(self.a, G, self.design.gram, rtol)
-        valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
-        values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
-        return values, valid
+        super().__init__(design, spec.b, spec.statistic, spec.cluster_studentizer, spec.demean)
 
     def simulate(self, draws: np.ndarray, scheme: SimulationScheme) -> tuple[np.ndarray, int]:
         """Statistics of the draws of ``scheme`` and the number of

@@ -127,6 +127,16 @@ def test_t2_on_rank_deficient_exposures_exits_3(capsys):
     assert "studentizer" in captured.err
 
 
+def test_t2_on_rank_deficient_exposures_names_the_exposure_rank(capsys):
+    code = main([
+        "test", *data_args("exposures_concentrated.csv"), "--b", "0.2", "--stat", "t2", "--L", "99",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "T2 statistic" in err and "rank one" in err and "same exposure row" in err
+    assert "orthogonal to every shocked sector" not in err
+
+
 def test_bundled_experiment_config_level_and_determinism(capsys):
     argv = ["simulate", "--config", str(DEMOS / "configs" / "size_small_J.cfg"),
             "--format", "csv"]

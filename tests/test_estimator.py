@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,8 +10,13 @@ from shiftshare_ri import (
     DegenerateInstrumentError,
     NotReducedFormError,
     ShiftShareDesign,
+    SignChange,
+    Statistic,
+    TestSpec,
     VarianceKind,
     ZeroVarianceError,
+    load_design,
+    ri_test,
     sector_residual_sums,
     shift_share_estimate,
     stat_t0,
@@ -311,3 +318,90 @@ def test_t2_gram_kernel_degenerate_draw_has_zero_studentizer():
     assert np.all(den[[0, 2]] > 0)
     _, den_ref = _t2_via_instruments(a, G, S)
     assert den_ref[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stat_t1 and stat_t2 are the engine's observed statistic
+
+DATA = Path(__file__).parent.parent / "demos" / "data"
+
+
+def observed_design(which):
+    if which == "bundled":
+        return load_design(DATA / "outcomes.csv", DATA / "exposures.csv", DATA / "shocks.csv")
+    return make_design(seed=41, N=30, J=8, cluster_ids=np.arange(8) % 3)  # Dirichlet rows
+
+
+def engine_t_obs(design, b, statistic, **kw):
+    spec = TestSpec(b=b, statistic=statistic, scheme=SignChange(), L=9, seed=3, **kw)
+    return ri_test(design, spec).t_obs
+
+
+@pytest.mark.parametrize("which", ["bundled", "dirichlet-clustered"])
+@pytest.mark.parametrize("b", [-0.5, 0.2, 1.3])
+def test_stat_t1_and_t2_equal_the_engine_t_obs_bit_for_bit(which, b):
+    d = observed_design(which)
+    assert d.cluster_ids is not None
+    assert stat_t1(d, b).hex() == engine_t_obs(d, b, Statistic.T1).hex()
+    assert (
+        stat_t1(d, b, clustered=True).hex()
+        == engine_t_obs(d, b, Statistic.T1, cluster_studentizer=True).hex()
+    )
+    assert stat_t2(d, b).hex() == engine_t_obs(d, b, Statistic.T2).hex()
+
+
+@pytest.mark.parametrize("which", ["bundled", "dirichlet-clustered"])
+@pytest.mark.parametrize("b", [-0.5, 0.2, 1.3])
+def test_engine_t_obs_matches_the_ratio_forms(which, b):
+    # independent of the sector-sum kernels: the estimate, the variance
+    # estimators and one division (sum(Z*X) > 0 in the reduced form)
+    d = observed_design(which)
+    est = shift_share_estimate(d)
+    assert est.denom > 0
+    cases = [
+        (Statistic.T1, {}, variance_null_imposed(d, b)),
+        (Statistic.T1, {"cluster_studentizer": True}, variance_clustered(d, b)),
+        (Statistic.T2, {}, variance_plugin(d)),
+    ]
+    for statistic, kw, var in cases:
+        ratio = (est.beta_hat - b) / np.sqrt(var.value)
+        npt.assert_allclose(engine_t_obs(d, b, statistic, **kw), ratio, rtol=1e-10, atol=0)
+
+
+def test_stat_and_engine_raise_the_same_error():
+    iv = make_design(seed=29, reduced_form=False)
+    unclustered = make_design(seed=27)
+    flat = identity_design([2.0, 4.0], [1.0, 1.0], X=[1.0, 2.0])  # Y = 2 X
+
+    def spec(statistic, b=0.0, **kw):
+        return TestSpec(b=b, statistic=statistic, scheme=SignChange(), L=9, **kw)
+
+    cases = [
+        (NotReducedFormError, lambda: stat_t2(iv, 0.0), lambda: ri_test(iv, spec(Statistic.T2))),
+        (
+            DataValidationError,
+            lambda: stat_t1(unclustered, 0.0, clustered=True),
+            lambda: ri_test(unclustered, spec(Statistic.T1, cluster_studentizer=True)),
+        ),
+        (ZeroVarianceError, lambda: stat_t1(flat, 2.0), lambda: ri_test(flat, spec(Statistic.T1, 2.0))),
+    ]
+    for error, direct, engine in cases:
+        with pytest.raises(error) as by_stat:
+            direct()
+        with pytest.raises(error) as by_engine:
+            engine()
+        assert type(by_stat.value) is type(by_engine.value)
+        assert str(by_stat.value) == str(by_engine.value)
+
+
+def test_zero_variance_message_names_the_cause_per_statistic():
+    flat = identity_design([2.0, 4.0], [1.0, 1.0], X=[1.0, 2.0])
+    with pytest.raises(ZeroVarianceError, match="T1 statistic.*orthogonal to every shocked sector"):
+        stat_t1(flat, 2.0)
+    one_row = make_design(seed=5, N=10, J=4)
+    rank_one = ShiftShareDesign.from_arrays(
+        one_row.Y, None, np.tile(one_row.S[0], (10, 1)), one_row.g
+    )
+    with pytest.raises(ZeroVarianceError, match="T2 statistic.*studentizer.*rank one") as info:
+        stat_t2(rank_one, 0.3)
+    assert "orthogonal to every shocked sector" not in str(info.value)

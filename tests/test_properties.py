@@ -1,8 +1,10 @@
-"""The north-star draw invariants as property tests.
+"""The north-star invariants as property tests.
 
 Every built-in scheme's batched ``draw_block`` equals the per-draw
 reference ``draw`` on ``draw_stream(seed, l)``, row for row and byte
 for byte, and the first rows of a block do not change when L grows.
+The p-value and order-statistic decision rules agree for every
+sidedness, ties included, and ``ri_test`` decides by them.
 The examples are derandomized (see ``conftest.py``).
 """
 
@@ -10,11 +12,26 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftshare_ri import IIDNormal, Permutation, RecentredBootstrap, SignChange
+from conftest import make_design
+from shiftshare_ri import (
+    IIDNormal,
+    Permutation,
+    RecentredBootstrap,
+    Sidedness,
+    SignChange,
+    Statistic,
+    TestSpec,
+    reject_by_order_statistic,
+    reject_by_pvalue,
+    ri_test,
+)
 from shiftshare_ri.rng import draw_keys, draw_stream
 
 SEEDS = st.integers(0, 2**64 - 1)
 NONZERO = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda m: m != 0.0)
+ALPHAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# statistics on a small integer lattice, so that ties are common
+LATTICE = st.integers(-3, 3).map(float)
 
 
 @st.composite
@@ -60,3 +77,31 @@ def test_first_rows_do_not_change_when_l_grows(gc, L, extra, seed, m, sigma):
         head = scheme.draw_block(long, None, None, g, cluster_ids=clusters)[:L]
         block = scheme.draw_block(short, None, None, g, cluster_ids=clusters)
         assert head.tobytes() == block.tobytes(), scheme
+
+
+@given(st.data(), st.integers(1, 200), ALPHAS, st.sampled_from(Sidedness))
+def test_pvalue_and_order_statistic_rules_agree(data, L, alpha, sidedness):
+    t_sims = np.array(data.draw(st.lists(LATTICE, min_size=L, max_size=L)))
+    t_obs = data.draw(LATTICE)
+    assert reject_by_pvalue(t_obs, t_sims, alpha, sidedness) == reject_by_order_statistic(
+        t_obs, t_sims, alpha, sidedness
+    )
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 200),
+    ALPHAS,
+    st.sampled_from(Sidedness),
+    st.sampled_from(Statistic),
+    st.sampled_from([SignChange(), Permutation()]),
+)
+def test_ri_test_decides_by_the_pvalue_rule(seed, L, alpha, sidedness, statistic, scheme):
+    rng = np.random.default_rng(seed)
+    design = make_design(seed=seed, N=int(rng.integers(2, 31)), J=int(rng.integers(2, 11)))
+    spec = TestSpec(
+        b=float(rng.normal()), statistic=statistic, scheme=scheme, L=L, alpha=alpha,
+        sidedness=sidedness, seed=seed,
+    )
+    res = ri_test(design, spec)
+    assert res.reject == reject_by_pvalue(res.t_obs, res.t_sims, alpha, sidedness)
