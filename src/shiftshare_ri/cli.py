@@ -27,7 +27,6 @@ from .io import load_design
 from .montecarlo import (
     SCHEME_TOKENS,
     SIDEDNESS_BY_TOKEN,
-    STATISTIC_BY_TOKEN,
     build_scheme,
     parse_experiment_config,
     power_curve,
@@ -35,7 +34,7 @@ from .montecarlo import (
     results_to_json_obj,
     size_experiment,
 )
-from .ri import TestSpec, confidence_interval, exact_enumeration_test, ri_test
+from .ri import Statistic, TestSpec, confidence_interval, exact_enumeration_test, ri_test
 
 SEED_ENV_VAR = "SHIFTSHARE_RI_SEED"
 SCHEMA_VERSION = 1
@@ -53,7 +52,7 @@ def _add_data_args(p):
 
 
 def _add_common_args(p, with_L=True):
-    p.add_argument("--stat", choices=sorted(STATISTIC_BY_TOKEN), default="t1")
+    p.add_argument("--stat", choices=[s.value for s in Statistic], default="t1")
     p.add_argument("--scheme", choices=SCHEME_TOKENS, default="sign-change")
     p.add_argument("--m", type=float, default=0.0, help="sign-change symmetry point")
     p.add_argument("--sigma", type=float, default=1.0, help="normal-scheme standard deviation")
@@ -171,7 +170,7 @@ def _spec_from_args(args, seed: int, L=None) -> TestSpec:
     scheme = build_scheme(args.scheme, m=args.m, sigma=args.sigma, by_cluster=args.by_cluster)
     return TestSpec(
         b=getattr(args, "b", 0.0),
-        statistic=STATISTIC_BY_TOKEN[args.stat],
+        statistic=Statistic(args.stat),
         scheme=scheme,
         L=L if L is not None else args.L,
         alpha=args.alpha,

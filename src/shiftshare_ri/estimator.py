@@ -300,7 +300,7 @@ class _NullStatistic:
         if statistic is Statistic.T2 and not design.reduced_form:
             raise NotReducedFormError("the T2 statistic needs a reduced-form design (X = Z)")
         if clustered and design.cluster_ids is None:
-            raise DataValidationError("cluster_studentizer=True but the design has no cluster_ids")
+            raise DataValidationError("a clustered T1 studentizer needs cluster_ids on the design")
         self.design = design
         self.statistic = statistic
         self.demean = demean
@@ -309,9 +309,10 @@ class _NullStatistic:
         self.members = cluster_members(design.cluster_ids) if clustered else None
         values, valid = self.evaluate(design.g[None, :], observed=True)
         if not valid[0]:
-            raise ZeroVarianceError(
-                f"the observed {statistic.name} statistic {_UNDEFINED_AT_OBSERVED[statistic]}"
-            )
+            cause = _UNDEFINED_AT_OBSERVED[statistic]
+            if demean and np.ptp(design.g) == 0:
+                cause = "is undefined: demeaning removed every shock, since the observed shocks are all equal"
+            raise ZeroVarianceError(f"the observed {statistic.name} statistic {cause}")
         self.t_obs = float(values[0])
 
     def evaluate(self, G: np.ndarray, observed: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -48,6 +48,7 @@ from .schemes import (
     RecentredBootstrap,
     SignChange,
     SimulationScheme,
+    check_enumerable,
 )
 
 # ---------------------------------------------------------------------------
@@ -425,9 +426,8 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind is not MethodKind.AKM_NORMAL and self.scheme is None:
             raise ConfigError(f"{self.kind.value} method needs a simulation scheme")
-        enumerable = isinstance(self.scheme, (SignChange, Permutation))
-        if self.kind is MethodKind.ENUMERATION and not enumerable:
-            raise ConfigError("exact enumeration supports sign-change and permutation schemes only")
+        if self.kind is MethodKind.ENUMERATION:
+            check_enumerable(self.scheme)
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.label:
@@ -561,8 +561,6 @@ _METHOD_TOKENS = ("ri-t0", "ri-t1", "ri-t2", "akm-normal", "enumeration")
 
 SCHEME_TOKENS = tuple(_COMPONENTS["scheme"][1])
 
-STATISTIC_BY_TOKEN = {"t0": Statistic.T0, "t1": Statistic.T1, "t2": Statistic.T2}
-
 SIDEDNESS_BY_TOKEN = {
     "two-sided": Sidedness.TWO_SIDED_ABS,
     "right": Sidedness.RIGHT_TAIL,
@@ -679,8 +677,10 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
 
     scheme = _parse_component("scheme", kv, lines)
     stat_token = take("statistic", str, "t1").lower()
-    if stat_token not in STATISTIC_BY_TOKEN:
-        raise ConfigError(f"config key 'statistic': unknown value {stat_token!r}")
+    try:
+        statistic = Statistic(stat_token)
+    except ValueError:
+        raise ConfigError(f"config key 'statistic': unknown value {stat_token!r}") from None
     sided_token = take("sided", str, "two-sided").lower()
     if sided_token not in SIDEDNESS_BY_TOKEN:
         raise ConfigError(f"config key 'sided': unknown value {sided_token!r}")
@@ -688,7 +688,6 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
     L = take("l", int, 199)
     demean = take("demean", bool, False)
     clustered = take("clustered", bool, False)
-    statistic = STATISTIC_BY_TOKEN[stat_token]
     shared = dict(scheme=scheme, alpha=alpha, sidedness=SIDEDNESS_BY_TOKEN[sided_token],
                   demean=demean, cluster_studentizer=clustered)
 
@@ -702,8 +701,7 @@ def parse_experiment_config(source: str | os.PathLike) -> ExperimentConfig:
         elif token == "enumeration":
             method = MethodSpec(MethodKind.ENUMERATION, statistic=statistic, **shared)
         elif token in ("ri-t0", "ri-t1", "ri-t2"):
-            ri_statistic = STATISTIC_BY_TOKEN[token[3:]]
-            method = MethodSpec(MethodKind.RI, statistic=ri_statistic, L=L, **shared)
+            method = MethodSpec(MethodKind.RI, statistic=Statistic(token[3:]), L=L, **shared)
         else:
             raise ConfigError(
                 f"config key 'methods': unknown method {token!r}; "

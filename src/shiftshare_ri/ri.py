@@ -8,7 +8,8 @@ uses the order-statistic form: reject when the observed value strictly
 exceeds the k-th smallest simulated value, k = L + 1 - ceil(alpha(L+1)).
 The two forms agree on every instance, ties included; both are exposed.
 The statistics themselves, observed and simulated, are defined in
-:mod:`shiftshare_ri.estimator`; this module draws, counts and decides.
+:mod:`shiftshare_ri.estimator` and the transformation groups in
+:mod:`shiftshare_ri.schemes`; this module draws, counts and decides.
 
 Determinism contract: each draw l has its own counter-based generator
 keyed by (seed, draw domain, l), so extending L keeps the first draws
@@ -20,7 +21,6 @@ accepted but do not change results.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -28,21 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design import ShiftShareDesign, null_residuals
-from .errors import (
-    ConfigError,
-    DataValidationError,
-    DegenerateDrawError,
-    EnumerationSizeError,
-)
+from .errors import ConfigError, DataValidationError, DegenerateDrawError
 from .estimator import Statistic, _NullStatistic
 from .rng import draw_keys, keyed_generators
-from .schemes import KnownDistribution, Permutation, SignChange, SimulationScheme
+from .schemes import ENUMERATION_LIMIT, KnownDistribution, SignChange, SimulationScheme, check_enumerable
 
 # Replacement attempts per degenerate draw before giving up; the global
 # budget is therefore at most 10 * L discarded draws.
 MAX_ATTEMPTS_PER_DRAW = 10
-
-ENUMERATION_LIMIT = 2**20
 
 # Exact enumeration evaluates the group this many elements at a time, so
 # its temporaries stay a few MB however large the group is.
@@ -326,64 +319,25 @@ def ri_test(
 def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestResult:
     """Enumerate the statistic over the whole transformation group.
 
-    Supported schemes: sign changes (2^J elements, or 2^C with
-    by_cluster) and permutations (J! elements), evaluated in blocks of
-    ``_ENUM_BLOCK`` elements.  The p-value is the fraction of group
-    elements at least as extreme as the identity element, whose value
-    from the same evaluation is reported as ``t_obs``; the identity
-    therefore always counts and the p-value is strictly positive.  The
-    decision is ``p <= alpha``.  Group elements with a degenerate
-    studentizer are conditioned out, p = #{valid, as extreme} / #{valid}:
-    under the null, g is uniform on the valid elements of its orbit.
+    Walks the scheme's ``group`` (sign changes and permutations, up to
+    ``ENUMERATION_LIMIT`` elements) in blocks of ``_ENUM_BLOCK`` elements.
+    The p-value is the fraction of group elements at least as extreme as
+    the identity element, whose value from the same evaluation (not from
+    a one-row evaluation, which can differ in the last bits) is reported
+    as ``t_obs``; the identity therefore always counts and the p-value is
+    strictly positive.  The decision is ``p <= alpha``.  Group elements
+    with a degenerate studentizer are conditioned out, p = #{valid, as
+    extreme} / #{valid}: under the null, g is uniform on the valid
+    elements of its orbit.
     """
     null = _NullProblem(design, spec)
-    scheme = spec.scheme
-    if isinstance(scheme, SignChange):
-        if scheme.by_cluster:
-            uniq, inverse = np.unique(design.cluster_ids, return_inverse=True)
-            n_flip = uniq.shape[0]
-        else:
-            inverse = np.arange(design.J)
-            n_flip = design.J
-        size = 2**n_flip
-        if size > ENUMERATION_LIMIT:
-            raise EnumerationSizeError(
-                f"sign-change group has 2^{n_flip} elements, over the 2^20 limit"
-            )
-        shifts = np.arange(n_flip)
-        centred = design.g - scheme.m
-        identity = size - 1  # all signs +1
-
-        def block(lo: int, hi: int) -> np.ndarray:
-            k = np.arange(lo, hi, dtype=np.int64)
-            kappa = (((k[:, None] >> shifts) & 1) * 2.0 - 1.0)[:, inverse]
-            G = kappa * centred + scheme.m
-            if hi == size:
-                G[-1] = design.g  # (g - m) + m need not be bit-equal to g
-            return G
-
-    elif isinstance(scheme, Permutation):
-        size = math.factorial(design.J)
-        if size > ENUMERATION_LIMIT:
-            raise EnumerationSizeError(
-                f"permutation group has {design.J}! elements, over the 2^20 limit"
-            )
-        perms = itertools.permutations(range(design.J))
-        identity = 0  # permutations() starts from the identity
-
-        def block(lo: int, hi: int) -> np.ndarray:
-            return design.g[np.array(list(itertools.islice(perms, hi - lo)), dtype=np.intp)]
-
-    else:
-        raise ConfigError("exact enumeration supports sign-change and permutation schemes only")
-
+    check_enumerable(spec.scheme)
+    size, identity, block = spec.scheme.group(design.g, design.cluster_ids)
     values = np.empty(size)
     valid = np.empty(size, dtype=bool)
     for lo in range(0, size, _ENUM_BLOCK):
         hi = min(lo + _ENUM_BLOCK, size)
         values[lo:hi], valid[lo:hi] = null.evaluate(block(lo, hi))
-    # The identity's own value, not null.t_obs from a one-row evaluation,
-    # which can differ from it in the last bits and then fail to count.
     t_obs = float(values[identity])
     p = _tail_p(t_obs, values, valid, spec.sidedness, 0)
     values.flags.writeable = False
@@ -424,11 +378,11 @@ def berger_boos_test(
         raise ConfigError(f"grid_size must be at least 2, got {grid_size}")
     null = _NullProblem(design, spec)
 
-    keys = draw_keys(spec.seed, np.arange(spec.L))
-    kappa = spec.scheme.sign_block(keys, design.J, design.cluster_ids)
+    kappa = spec.scheme.sign_block(draw_keys(spec.seed, np.arange(spec.L)), design.J, design.cluster_ids)
 
     grid = np.unique(np.linspace(m_lo, m_hi, grid_size)) if m_hi > m_lo else np.array([m_lo])
-    sims = (null.simulate(kappa * (design.g - m)[None, :] + m, replace(spec.scheme, m=m)) for m in grid)
+    schemes = (replace(spec.scheme, m=m) for m in grid)
+    sims = (null.simulate(scheme.apply(kappa, design.g), scheme) for scheme in schemes)
     worst = max(p_value_from_stats(null.t_obs, t_sims, spec.sidedness) for t_sims, _ in sims)
     return min(1.0, worst + gamma)
 

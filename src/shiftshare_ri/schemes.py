@@ -13,6 +13,9 @@ hits Lemire's rejection branch is redrawn by ``draw``.  Permutation,
 normal and user-supplied samplers call ``draw`` once per row on one
 reusable generator reset to each key.
 
+Sign changes and permutations also define the finite group that exact
+enumeration walks (``group``; see :func:`check_enumerable`).
+
 Schemes also report per-coordinate moments (mean, second, fourth) of
 their draws, which feed the asymptotic-condition diagnostics.  For the
 built-ins these are closed form; user-supplied samplers fall back to
@@ -21,13 +24,18 @@ Monte Carlo.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import ConfigError, DataValidationError, EnumerationSizeError
 from .rng import DOMAIN_MOMENTS, bounded_integers, keyed_generators, sign_bits, stream
+
+ENUMERATION_LIMIT = 2**20  # the largest group that exact enumeration walks
+
 
 
 @dataclass(frozen=True)
@@ -143,33 +151,54 @@ class SignChange(SimulationScheme):
         if not np.isfinite(self.m):
             raise DataValidationError(f"symmetry point m must be finite, got {self.m}")
 
+    def _sign_map(self, J, cluster_ids):
+        """(n, index): n independent signs, sector j taking sign index[j]."""
+        if not self.by_cluster:
+            return J, np.s_[:]
+        if cluster_ids is None:
+            raise DataValidationError("by_cluster sign changes need cluster labels")
+        uniq, inverse = np.unique(cluster_ids, return_inverse=True)
+        return uniq.shape[0], inverse
+
+    def apply(self, kappa, g):
+        """The group action on g: ``kappa * (g - m) + m`` per row of signs."""
+        return kappa * (g - self.m) + self.m
+
     def signs(self, rng, J, cluster_ids=None):
-        if self.by_cluster:
-            if cluster_ids is None:
-                raise DataValidationError("by_cluster sign changes need cluster labels")
-            uniq, inverse = np.unique(cluster_ids, return_inverse=True)
-            kappa_c = rng.integers(0, 2, size=uniq.shape[0]) * 2 - 1
-            return kappa_c[inverse].astype(np.float64)
-        return (rng.integers(0, 2, size=J) * 2 - 1).astype(np.float64)
+        n, index = self._sign_map(J, cluster_ids)
+        return (rng.integers(0, 2, size=n) * 2 - 1).astype(np.float64)[index]
 
     def sign_block(self, keys, J, cluster_ids=None):
         """(len(keys), J) float64 array whose row i is ``signs`` on a
         fresh generator with Philox key ``keys[i]``."""
-        if not self.by_cluster:
-            return np.where(sign_bits(keys, J) == 1, 1.0, -1.0)
-        if cluster_ids is None:
-            raise DataValidationError("by_cluster sign changes need cluster labels")
-        uniq, inverse = np.unique(cluster_ids, return_inverse=True)
-        kappa_c = np.where(sign_bits(keys, uniq.shape[0]) == 1, 1.0, -1.0)
-        return np.ascontiguousarray(kappa_c[:, inverse])
+        n, index = self._sign_map(J, cluster_ids)
+        return np.ascontiguousarray(np.where(sign_bits(keys, n) == 1, 1.0, -1.0)[:, index])
 
     def draw(self, rng, S, e_b, g, cluster_ids=None):
-        kappa = self.signs(rng, g.shape[0], cluster_ids)
-        return kappa * (g - self.m) + self.m
+        return self.apply(self.signs(rng, g.shape[0], cluster_ids), g)
 
     def draw_block(self, keys, S, e_b, g, cluster_ids=None):
-        kappa = self.sign_block(keys, g.shape[0], cluster_ids)
-        return kappa * (g - self.m) + self.m
+        return self.apply(self.sign_block(keys, g.shape[0], cluster_ids), g)
+
+    def group(self, g, cluster_ids=None):
+        """The 2^n sign patterns (per sector or cluster) as ``(size, identity,
+        block)``: ``block(lo, hi)`` gives elements lo..hi-1, element k putting
+        +1 on sign i when bit i of k is set; the identity (last) is g itself."""
+        n, index = self._sign_map(g.shape[0], cluster_ids)
+        size = 2**n
+        if size > ENUMERATION_LIMIT:
+            raise EnumerationSizeError(f"sign-change group has 2^{n} elements, over the 2^20 limit")
+        shifts = np.arange(n)
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            k = np.arange(lo, hi, dtype=np.int64)
+            # F-ordered, as kappa[:, clusters] is: matrix products round by layout.
+            G = self.apply(np.asfortranarray((((k[:, None] >> shifts) & 1) * 2.0 - 1.0)[:, index]), g)
+            if hi == size:
+                G[-1] = g
+            return G
+
+        return size, size - 1, block
 
     def moments(self, g, S=None, e_b=None, n_mc=2000, seed=0):
         d = g - self.m
@@ -186,6 +215,17 @@ class Permutation(SimulationScheme):
     def draw(self, rng, S, e_b, g, cluster_ids=None):
         return g[rng.permutation(g.shape[0])]
 
+    def group(self, g, cluster_ids=None):
+        """The J! permutations in ``itertools.permutations`` order, identity
+        first, as ``(size, identity, block)``; call ``block`` on consecutive
+        ranges from 0, since it walks one iterator."""
+        J = g.shape[0]
+        size = math.factorial(J)
+        if size > ENUMERATION_LIMIT:
+            raise EnumerationSizeError(f"permutation group has {J}! elements, over the 2^20 limit")
+        perms = itertools.permutations(range(J))
+        return size, 0, lambda lo, hi: g[np.array(list(itertools.islice(perms, hi - lo)), dtype=np.intp)]
+
     def moments(self, g, S=None, e_b=None, n_mc=2000, seed=0):
         J = g.shape[0]
         return (
@@ -194,3 +234,8 @@ class Permutation(SimulationScheme):
             np.full(J, float(np.mean(g**4))),
         )
 
+
+def check_enumerable(scheme) -> None:
+    """Raise ``ConfigError`` unless ``scheme`` has a ``group`` to enumerate."""
+    if not isinstance(scheme, (SignChange, Permutation)):
+        raise ConfigError("exact enumeration supports sign-change and permutation schemes only")

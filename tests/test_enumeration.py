@@ -236,3 +236,15 @@ def test_identity_always_counted_against_its_own_value():
                     )
                     floor = 2 if sidedness is Sidedness.TWO_SIDED_ABS else 1
                     assert res.p_value >= floor / 2**J, (s, J, statistic, sidedness)
+
+
+def test_schemes_without_a_group_are_rejected_after_the_observed_statistic():
+    from shiftshare_ri import KnownDistribution, RecentredBootstrap, ZeroVarianceError
+
+    good = make_design(seed=7)
+    flat = identity_design([2.0, 4.0], [1.0, 1.0], X=[1.0, 2.0])  # T1 undefined at b = 2
+    for scheme in (IIDNormal(), RecentredBootstrap(), KnownDistribution(lambda rng, S, e_b, g: g)):
+        with pytest.raises(ConfigError, match="sign-change and permutation schemes only"):
+            exact_enumeration_test(good, spec_enum(scheme=scheme))
+        with pytest.raises(ZeroVarianceError):
+            exact_enumeration_test(flat, spec_enum(b=2.0, scheme=scheme))

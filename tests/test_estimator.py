@@ -405,3 +405,25 @@ def test_zero_variance_message_names_the_cause_per_statistic():
     with pytest.raises(ZeroVarianceError, match="T2 statistic.*studentizer.*rank one") as info:
         stat_t2(rank_one, 0.3)
     assert "orthogonal to every shocked sector" not in str(info.value)
+
+
+def test_demeaning_equal_shocks_is_named_as_the_cause():
+    equal = identity_design([3.0, 1.0], [2.0, 2.0])
+    for statistic in (Statistic.T1, Statistic.T2):
+        spec = TestSpec(b=0.0, statistic=statistic, scheme=SignChange(), L=9, demean=True)
+        with pytest.raises(ZeroVarianceError, match="demeaning removed every shock") as info:
+            ri_test(equal, spec)
+        assert "orthogonal" not in str(info.value) and "rank one" not in str(info.value)
+    # without demeaning the same shocks give a valid statistic
+    ri_test(equal, TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=9))
+
+
+def test_clustered_studentizer_message_names_no_parameter():
+    unclustered = make_design(seed=3, N=10, J=4)
+    message = "a clustered T1 studentizer needs cluster_ids on the design"
+    with pytest.raises(DataValidationError) as direct:
+        stat_t1(unclustered, 0.0, clustered=True)
+    spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=9, cluster_studentizer=True)
+    with pytest.raises(DataValidationError) as engine:
+        ri_test(unclustered, spec)
+    assert str(direct.value) == str(engine.value) == message

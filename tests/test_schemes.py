@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from shiftshare_ri import (
+    ConfigError,
     DataValidationError,
     IIDNormal,
     KnownDistribution,
@@ -160,3 +163,70 @@ def test_draws_deterministic_given_generator_seed():
         a = scheme.draw(np.random.default_rng(42), None, None, g)
         b = scheme.draw(np.random.default_rng(42), None, None, g)
         npt.assert_array_equal(a, b)
+
+
+# -- the finite groups that exact enumeration walks ---------------------
+
+# (g - 0.1) + 0.1 rounds away from g in its last coordinate
+G_OFF = np.array([-0.6232744625373522, 0.0413259793472436, -2.3250307746388343, -0.21879166393254573])
+
+
+def _bit_signs(k, n):
+    """Signs of element k: +1 on sign i when bit i of k is set."""
+    return np.array([1.0 if (k >> i) & 1 else -1.0 for i in range(n)])
+
+
+def test_sign_change_group_order_and_identity():
+    scheme = SignChange(m=0.1)
+    assert not np.array_equal(scheme.apply(np.ones(4), G_OFF), G_OFF)
+    size, identity, block = scheme.group(G_OFF)
+    assert (size, identity) == (16, 15)
+    rows = block(0, size)
+    assert rows[identity].tobytes() == G_OFF.tobytes()
+    for k in range(size - 1):
+        assert rows[k].tobytes() == scheme.apply(_bit_signs(k, 4), G_OFF).tobytes()
+    npt.assert_array_equal(np.vstack([block(0, 5), block(5, 16)]), rows)
+
+
+def test_by_cluster_group_flips_whole_clusters():
+    g = np.array([0.4, -1.3, 2.2, 0.9, -0.5, 1.7])
+    labels = np.array([9, 4, 9, 11, 4, 9])  # unsorted and non-contiguous
+    scheme = SignChange(m=-0.2, by_cluster=True)
+    size, identity, block = scheme.group(g, labels)
+    assert (size, identity) == (8, 7)
+    rows = block(0, size)
+    assert rows[identity].tobytes() == g.tobytes()
+    uniq = np.unique(labels)
+    for k in range(size - 1):
+        kappa = _bit_signs(k, uniq.size)[np.searchsorted(uniq, labels)]
+        npt.assert_array_equal(rows[k], scheme.apply(kappa, g))
+        signs = np.sign((rows[k] + 0.2) / (g + 0.2))
+        for c in uniq:
+            assert np.unique(signs[labels == c]).size == 1
+    with pytest.raises(DataValidationError, match="cluster labels"):
+        scheme.group(g)
+
+
+def test_permutation_group_order_and_identity():
+    g = np.array([0.3, -1.2, 2.5, 0.7])
+    size, identity, block = Permutation().group(g)
+    assert (size, identity) == (24, 0)
+    rows = np.vstack([block(0, 7), block(7, 24)])
+    assert rows[identity].tobytes() == g.tobytes()
+    expected = [g[list(p)] for p in itertools.permutations(range(4))]
+    npt.assert_array_equal(rows, expected)
+
+
+def test_enumerable_schemes_share_one_check():
+    from shiftshare_ri import MethodKind, MethodSpec
+    from shiftshare_ri.schemes import check_enumerable
+
+    for scheme in (SignChange(m=0.2, by_cluster=True), Permutation()):
+        check_enumerable(scheme)
+        MethodSpec(MethodKind.ENUMERATION, scheme=scheme)
+    for scheme in (RecentredBootstrap(), IIDNormal(), KnownDistribution(lambda rng, S, e_b, g: g)):
+        with pytest.raises(ConfigError) as direct:
+            check_enumerable(scheme)
+        with pytest.raises(ConfigError) as by_method:
+            MethodSpec(MethodKind.ENUMERATION, scheme=scheme)
+        assert str(direct.value) == str(by_method.value)
