@@ -19,7 +19,11 @@ O(L J^2) and it never builds an (L, N) matrix.
 The test statistics are defined here, once: ``_NullStatistic``
 evaluates one null hypothesis's statistic, and judges its validity, on
 any matrix of shock vectors, the observed row included; ``stat_t1``,
-``stat_t2`` and every test in :mod:`shiftshare_ri.ri` read it.
+``stat_t2`` and every test in :mod:`shiftshare_ri.ri` read it.  Only
+``a`` depends on the null value, so it splits each statistic into the
+work on the shock rows alone (demeaning, ``G * G``, T2's ``G K`` and
+``g*'K g*``) and the work with ``a``: a confidence set prepares its
+draws once for its whole grid.
 """
 
 from __future__ import annotations
@@ -195,9 +199,12 @@ def batch_t0(a: np.ndarray, G: np.ndarray, N: int) -> np.ndarray:
 def batch_t1(a: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Null-studentized statistic: numerator ``sum_j a_j g_j``,
     studentizer ``sqrt(sum_j a_j^2 g_j^2)``."""
-    num = G @ a
-    den = np.sqrt((G * G) @ (a * a))
-    return num, den
+    return _t1(a, G, G * G)
+
+
+def _t1(a: np.ndarray, G: np.ndarray, GG: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_t1` given ``GG = G * G``, which does not depend on ``a``."""
+    return G @ a, np.sqrt(GG @ (a * a))
 
 
 def batch_t1_clustered(
@@ -208,6 +215,47 @@ def batch_t1_clustered(
     num = G @ a
     per_cluster = (G * a[None, :]) @ members
     den = np.sqrt((per_cluster**2).sum(axis=1))
+    return num, den
+
+
+@dataclass(eq=False)
+class _Draws:
+    """The side of a statistic that depends on the shock rows alone, not
+    on ``a``: the rows ``G`` (demeaned when asked), ``GG = G * G`` for
+    the plain T1 studentizer and, for T2, ``KG = G K``, ``ssq =
+    rowsum(KG * G)``, its safe divisor and an (L, J) work buffer.  A grid
+    of null values computes it once for all of its points."""
+
+    G: np.ndarray
+    GG: np.ndarray | None = None
+    KG: np.ndarray | None = None
+    ssq: np.ndarray | None = None
+    safe: np.ndarray | None = None
+    work: np.ndarray | None = None
+
+
+def _t2_draws(G: np.ndarray, K: np.ndarray) -> _Draws:
+    """The part of :func:`_t2_gram` that does not read ``a``."""
+    KG = G @ K
+    ssq = (KG * G).sum(axis=1)
+    return _Draws(G, KG=KG, ssq=ssq, safe=np.where(ssq > 0, ssq, 1.0), work=np.empty_like(KG))
+
+
+def _t2_residuals(a: np.ndarray, D: _Draws, rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The residual side of :func:`_t2_gram` on prepared draws: the
+    studentizer's (L, J) terms are built in ``D.work``."""
+    G, KG, ssq = D.G, D.KG, D.ssq
+    num = G @ a
+    c = num / D.safe
+    terms = np.multiply(c[:, None], KG, out=D.work)
+    np.subtract(a[None, :], terms, out=terms)  # a~ = a - c (Kg)
+    np.multiply(terms, G, out=terms)
+    np.square(terms, out=terms)
+    den = np.sqrt(terms.sum(axis=1))
+    den = np.where(ssq > 0, den, 0.0)
+    if rtol:
+        scale = np.sqrt(((a[None, :] * G) ** 2).sum(axis=1) + c**2 * ((KG * G) ** 2).sum(axis=1))
+        den = np.where(den > rtol * scale, den, 0.0)
     return num, den
 
 
@@ -224,20 +272,10 @@ def _t2_gram(
     c = num / g'Kg, the size of the two terms of a~_j g_j = a_j g_j -
     c (Kg)_j g_j.  Callers pass ``T2_CANCELLATION_RTOL`` for the observed
     shocks only: on every draw the check adds about 40% to the kernel's
-    time (L = 999, J = 200).
+    time (L = 999, J = 200).  It is the composition of :func:`_t2_draws`,
+    which holds the O(L J^2) product, and :func:`_t2_residuals`.
     """
-    num = G @ a
-    KG = G @ K
-    ssq = (KG * G).sum(axis=1)
-    safe = np.where(ssq > 0, ssq, 1.0)
-    c = num / safe
-    a_tilde = a[None, :] - c[:, None] * KG
-    den = np.sqrt(((a_tilde * G) ** 2).sum(axis=1))
-    den = np.where(ssq > 0, den, 0.0)
-    if rtol:
-        scale = np.sqrt(((a[None, :] * G) ** 2).sum(axis=1) + c**2 * ((KG * G) ** 2).sum(axis=1))
-        den = np.where(den > rtol * scale, den, 0.0)
-    return num, den
+    return _t2_residuals(a, _t2_draws(G, K), rtol)
 
 
 def batch_t2(a: np.ndarray, G: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +330,13 @@ class _NullStatistic:
     """The statistic at null value ``b`` as a function of the shocks:
     the null residuals ``e_b``, their sector sums ``a``, the cluster
     members of a clustered T1 studentizer, and ``t_obs``, the row of
-    :meth:`evaluate` at the observed shocks."""
+    :meth:`evaluate` at the observed shocks.
+
+    :meth:`evaluate` is the composition of :meth:`prepare`, the work on
+    the shock rows alone, and :meth:`evaluate_prepared`, the work with
+    ``a``.  :meth:`prepare` depends on the design, the statistic and
+    demeaning but not on ``b``, so a grid of null values can prepare its
+    draws once and evaluate them at each point."""
 
     def __init__(
         self, design: ShiftShareDesign, b: float, statistic: Statistic, clustered=False, demean=False
@@ -301,6 +345,12 @@ class _NullStatistic:
             raise NotReducedFormError("the T2 statistic needs a reduced-form design (X = Z)")
         if clustered and design.cluster_ids is None:
             raise DataValidationError("a clustered T1 studentizer needs cluster_ids on the design")
+        if demean and np.ptp(design.g) == 0:
+            # the demeaned observed shocks are zero, or rounding residue of zero
+            raise ZeroVarianceError(
+                f"the observed {statistic.name} statistic is undefined: demeaning removed every "
+                "shock, since the observed shocks are all equal"
+            )
         self.design = design
         self.statistic = statistic
         self.demean = demean
@@ -309,10 +359,9 @@ class _NullStatistic:
         self.members = cluster_members(design.cluster_ids) if clustered else None
         values, valid = self.evaluate(design.g[None, :], observed=True)
         if not valid[0]:
-            cause = _UNDEFINED_AT_OBSERVED[statistic]
-            if demean and np.ptp(design.g) == 0:
-                cause = "is undefined: demeaning removed every shock, since the observed shocks are all equal"
-            raise ZeroVarianceError(f"the observed {statistic.name} statistic {cause}")
+            raise ZeroVarianceError(
+                f"the observed {statistic.name} statistic {_UNDEFINED_AT_OBSERVED[statistic]}"
+            )
         self.t_obs = float(values[0])
 
     def evaluate(self, G: np.ndarray, observed: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -320,18 +369,30 @@ class _NullStatistic:
         demeaned first when asked for; invalid values are NaN;
         ``observed`` judges T2 studentizers against their rounding
         scale, as :func:`_t2_gram` describes."""
+        return self.evaluate_prepared(self.prepare(G), observed)
+
+    def prepare(self, G: np.ndarray) -> _Draws:
+        """The part of :meth:`evaluate` that reads the shock rows G only."""
         if self.demean:
             G = G - G.mean(axis=1, keepdims=True)
+        if self.statistic is Statistic.T2:
+            return _t2_draws(G, self.design.gram)
+        if self.statistic is Statistic.T1 and self.members is None:
+            return _Draws(G, GG=G * G)
+        return _Draws(G)
+
+    def evaluate_prepared(self, D: _Draws, observed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`evaluate` on draws from :meth:`prepare`."""
         if self.statistic is Statistic.T0:
-            values = batch_t0(self.a, G, self.design.N)
+            values = batch_t0(self.a, D.G, self.design.N)
             return values, np.isfinite(values)
         if self.statistic is Statistic.T1:
             if self.members is None:
-                num, den = batch_t1(self.a, G)
+                num, den = _t1(self.a, D.G, D.GG)
             else:
-                num, den = batch_t1_clustered(self.a, G, self.members)
+                num, den = batch_t1_clustered(self.a, D.G, self.members)
         else:
-            num, den = _t2_gram(self.a, G, self.design.gram, T2_CANCELLATION_RTOL if observed else 0.0)
+            num, den = _t2_residuals(self.a, D, T2_CANCELLATION_RTOL if observed else 0.0)
         valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
         values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
         return values, valid

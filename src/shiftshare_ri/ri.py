@@ -9,7 +9,8 @@ exceeds the k-th smallest simulated value, k = L + 1 - ceil(alpha(L+1)).
 The two forms agree on every instance, ties included; both are exposed.
 The statistics themselves, observed and simulated, are defined in
 :mod:`shiftshare_ri.estimator` and the transformation groups in
-:mod:`shiftshare_ri.schemes`; this module draws, counts and decides.
+:mod:`shiftshare_ri.schemes`; this module draws, counts and decides.  A
+confidence set draws and prepares its shocks once for its whole grid.
 
 Determinism contract: each draw l has its own counter-based generator
 keyed by (seed, draw domain, l), so extending L keeps the first draws
@@ -29,7 +30,7 @@ import numpy as np
 
 from .design import ShiftShareDesign, null_residuals
 from .errors import ConfigError, DataValidationError, DegenerateDrawError
-from .estimator import Statistic, _NullStatistic
+from .estimator import Statistic, _Draws, _NullStatistic
 from .rng import draw_keys, keyed_generators
 from .schemes import ENUMERATION_LIMIT, KnownDistribution, SignChange, SimulationScheme, check_enumerable
 
@@ -257,11 +258,12 @@ class _NullProblem(_NullStatistic):
         self.spec = spec
         super().__init__(design, spec.b, spec.statistic, spec.cluster_studentizer, spec.demean)
 
-    def simulate(self, draws: np.ndarray, scheme: SimulationScheme) -> tuple[np.ndarray, int]:
-        """Statistics of the draws of ``scheme`` and the number of
-        redraws: a degenerate draw l is replaced by the next draws of
-        its own keyed stream, up to ``MAX_ATTEMPTS_PER_DRAW`` in all."""
-        t_sims, valid = self.evaluate(draws)
+    def simulate(self, draws: _Draws, scheme: SimulationScheme) -> tuple[np.ndarray, int]:
+        """Statistics of the draws of ``scheme``, prepared by
+        :meth:`prepare`, and the number of redraws: a degenerate draw l
+        is replaced by the next draws of its own keyed stream, up to
+        ``MAX_ATTEMPTS_PER_DRAW`` in all."""
+        t_sims, valid = self.evaluate_prepared(draws)
         bad = np.flatnonzero(~valid)
         if bad.size == 0:
             return t_sims, 0
@@ -285,6 +287,13 @@ class _NullProblem(_NullStatistic):
                 )
         return t_sims, n_redraws
 
+    def decide(self, t_sims: np.ndarray) -> tuple[float, bool]:
+        """The p-value and the order-statistic decision of ``t_obs``
+        against ``t_sims``."""
+        sided = self.spec.sidedness
+        p = p_value_from_stats(self.t_obs, t_sims, sided)
+        return p, reject_by_order_statistic(self.t_obs, t_sims, self.spec.alpha, sided)
+
 
 def ri_test(
     design: ShiftShareDesign,
@@ -303,9 +312,8 @@ def ri_test(
     null = _NullProblem(design, spec)
     if _raw_draws is None:
         _raw_draws = generate_draws(design, spec.scheme, spec.L, spec.seed, b=spec.b, threads=threads)
-    t_sims, n_redraws = null.simulate(_raw_draws, spec.scheme)
-    p = p_value_from_stats(null.t_obs, t_sims, spec.sidedness)
-    reject = reject_by_order_statistic(null.t_obs, t_sims, spec.alpha, spec.sidedness)
+    t_sims, n_redraws = null.simulate(null.prepare(_raw_draws), spec.scheme)
+    p, reject = null.decide(t_sims)
     t_sims.flags.writeable = False
     return RITestResult(
         t_obs=null.t_obs, t_sims=t_sims, p_value=p, reject=reject, n_degenerate_redraws=n_redraws
@@ -382,7 +390,7 @@ def berger_boos_test(
 
     grid = np.unique(np.linspace(m_lo, m_hi, grid_size)) if m_hi > m_lo else np.array([m_lo])
     schemes = (replace(spec.scheme, m=m) for m in grid)
-    sims = (null.simulate(scheme.apply(kappa, design.g), scheme) for scheme in schemes)
+    sims = (null.simulate(null.prepare(scheme.apply(kappa, design.g)), scheme) for scheme in schemes)
     worst = max(p_value_from_stats(null.t_obs, t_sims, spec.sidedness) for t_sims, _ in sims)
     return min(1.0, worst + gamma)
 
@@ -436,8 +444,11 @@ def confidence_interval(
 
     The same draws (same seed, same generator streams) are applied at
     every grid point, so interval endpoints move with the data rather
-    than with simulation jitter.  ``threads`` is accepted but does not
-    change results.
+    than with simulation jitter.  They are prepared once per confidence
+    set (:meth:`_NullProblem.prepare`: the demeaned draws, and T2's
+    product with the Gram matrix), and each point evaluates them at its
+    own residuals and decides as :func:`ri_test` does, with the same
+    values.  ``threads`` is accepted but does not change results.
     """
     b_grid = np.asarray(b_grid, dtype=np.float64)
     if b_grid.ndim != 1 or b_grid.size == 0:
@@ -447,9 +458,9 @@ def confidence_interval(
     if np.any(np.diff(b_grid) < 0):
         raise ConfigError("b_grid must be sorted in increasing order")
 
-    # Built-in schemes draw independently of the residuals, so the draw
-    # matrix can be shared across grid points; user samplers may read
-    # e_b and are regenerated at each b.
+    # Built-in schemes draw independently of the residuals, so the
+    # prepared draws can be shared across grid points; user samplers may
+    # read e_b and are regenerated at each b.
     shared = None
     if not isinstance(spec.scheme, KnownDistribution):
         shared = generate_draws(design, spec.scheme, spec.L, spec.seed, b=spec.b, threads=threads)
@@ -457,11 +468,18 @@ def confidence_interval(
     p_values = np.empty(b_grid.shape)
     retained = np.empty(b_grid.shape, dtype=bool)
     total_redraws = 0
+    draws = None
     for i, b in enumerate(b_grid):
-        res = ri_test(design, replace(spec, b=float(b)), threads=threads, _raw_draws=shared)
-        p_values[i] = res.p_value
-        retained[i] = not res.reject
-        total_redraws += res.n_degenerate_redraws
+        point = replace(spec, b=float(b))
+        null = _NullProblem(design, point)
+        if shared is None:
+            draws = null.prepare(generate_draws(design, spec.scheme, spec.L, spec.seed, b=point.b))
+        elif draws is None:
+            draws = null.prepare(shared)
+        t_sims, n_redraws = null.simulate(draws, spec.scheme)
+        p_values[i], reject = null.decide(t_sims)
+        retained[i] = not reject
+        total_redraws += n_redraws
 
     if retained.any():
         vals = b_grid[retained]

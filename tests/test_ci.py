@@ -2,11 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_design
+from conftest import identity_design, make_design
 from shiftshare_ri import (
     ConfigError,
     IIDNormal,
     KnownDistribution,
+    Permutation,
+    RecentredBootstrap,
+    Sidedness,
     SignChange,
     Statistic,
     TestSpec,
@@ -126,3 +129,56 @@ def test_threads_do_not_change_confidence_set():
     b = confidence_interval(d, spec_ci(L=256), grid, threads=8)
     npt.assert_array_equal(a.p_values, b.p_values)
     npt.assert_array_equal(a.retained, b.retained)
+
+
+# The confidence set prepares its draws once and evaluates them at each
+# point; every point must still be the stand-alone test, bit for bit.
+CI_STATISTICS = {
+    "t0": (Statistic.T0, False),
+    "t1": (Statistic.T1, False),
+    "t1-clustered": (Statistic.T1, True),
+    "t2": (Statistic.T2, False),
+}
+CI_SCHEMES = {
+    "sign-change": SignChange(),
+    "sign-change-m": SignChange(m=0.3),
+    "permutation": Permutation(),
+    "bootstrap": RecentredBootstrap(),
+    "normal": IIDNormal(1.5),
+}
+
+
+def assert_points_are_standalone_tests(d, spec, grid):
+    res = confidence_interval(d, spec, grid)
+    redraws = 0
+    for i, b in enumerate(grid):
+        solo = ri_test(d, replace(spec, b=float(b)))
+        assert res.p_values[i].tobytes() == np.float64(solo.p_value).tobytes()
+        assert res.retained[i] == (not solo.reject)
+        redraws += solo.n_degenerate_redraws
+    assert res.n_degenerate_redraws == redraws
+    return res
+
+
+@pytest.mark.parametrize("scheme", CI_SCHEMES.values(), ids=CI_SCHEMES)
+@pytest.mark.parametrize("demean", [False, True], ids=["raw", "demeaned"])
+@pytest.mark.parametrize("statistic", CI_STATISTICS.values(), ids=CI_STATISTICS)
+def test_grid_points_match_standalone_tests_widely(statistic, demean, scheme):
+    d = make_design(seed=11, N=18, J=7, cluster_ids=np.array([0, 1, 1, 2, 0, 2, 1]))
+    grid = np.linspace(-1.0, 2.5, 9)
+    for sided in Sidedness:
+        spec = spec_ci(
+            statistic=statistic[0], cluster_studentizer=statistic[1], scheme=scheme,
+            demean=demean, sidedness=sided, L=49,
+        )
+        assert_points_are_standalone_tests(d, spec, grid)
+
+
+@pytest.mark.parametrize("statistic", [Statistic.T1, Statistic.T2])
+def test_grid_points_match_standalone_tests_with_redraws(statistic):
+    # g = (0, 1, 2): the bootstrap pool is (-1, 0, 1), and an all-middle
+    # draw is zero, so draws are replaced inside the confidence set
+    d = identity_design([3.0, 1.0, -2.0], [0.0, 1.0, 2.0])
+    spec = spec_ci(statistic=statistic, scheme=RecentredBootstrap(), L=299)
+    res = assert_points_are_standalone_tests(d, spec, np.linspace(-2.0, 2.0, 9))
+    assert res.n_degenerate_redraws > 0

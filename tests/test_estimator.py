@@ -27,7 +27,10 @@ from shiftshare_ri import (
     variance_plugin,
 )
 from shiftshare_ri.estimator import (
+    T2_CANCELLATION_RTOL,
+    _t2_draws,
     _t2_gram,
+    _t2_residuals,
     batch_t0,
     batch_t1,
     batch_t1_clustered,
@@ -427,3 +430,57 @@ def test_clustered_studentizer_message_names_no_parameter():
     with pytest.raises(DataValidationError) as engine:
         ri_test(unclustered, spec)
     assert str(direct.value) == str(engine.value) == message
+
+
+@pytest.mark.parametrize("shock", [0.1, 0.7])
+@pytest.mark.parametrize("statistic", list(Statistic))
+def test_demeaning_inexactly_equal_shocks_raises(statistic, shock):
+    # the float mean of three equal shocks need not be exact, and the
+    # demeaned shocks are then rounding residue, not zeros
+    equal = identity_design([3.0, 1.0, -2.0], [shock] * 3)
+    assert np.any(equal.g - equal.g.mean() != 0.0)
+    spec = TestSpec(b=0.0, statistic=statistic, scheme=SignChange(), L=99, demean=True)
+    with pytest.raises(ZeroVarianceError, match="demeaning removed every shock"):
+        ri_test(equal, spec)
+
+
+def _t2_gram_with_temporaries(a, G, K, rtol=0.0):
+    """The T2 kernel as written before its draw side was split off."""
+    num = G @ a
+    KG = G @ K
+    ssq = (KG * G).sum(axis=1)
+    safe = np.where(ssq > 0, ssq, 1.0)
+    c = num / safe
+    a_tilde = a[None, :] - c[:, None] * KG
+    den = np.sqrt(((a_tilde * G) ** 2).sum(axis=1))
+    den = np.where(ssq > 0, den, 0.0)
+    if rtol:
+        scale = np.sqrt(((a[None, :] * G) ** 2).sum(axis=1) + c**2 * ((KG * G) ** 2).sum(axis=1))
+        den = np.where(den > rtol * scale, den, 0.0)
+    return num, den
+
+
+def test_t2_residual_side_in_place_equals_temporaries():
+    rng = np.random.default_rng(83)
+    L, J = 999, 200
+    S = rng.dirichlet(np.ones(J), size=400)
+    K = S.T @ S
+    G = rng.choice([-1.0, 1.0], size=(L, J)) * rng.normal(size=J)
+    G[[0, 17, 998]] = 0.0  # ssq = 0: invalid draws
+    draws = _t2_draws(G, K)
+    for _ in range(3):  # one prepared draw side serves every a
+        a = rng.normal(size=J)
+        ref_num, ref_den = _t2_gram_with_temporaries(a, G, K)
+        num, den = _t2_residuals(a, draws)
+        assert num.tobytes() == ref_num.tobytes() and den.tobytes() == ref_den.tobytes()
+        assert np.all(den[[0, 17, 998]] == 0.0)
+    # the observed row with its cancellation check, on a full-rank and
+    # on a rank-one exposure matrix (where it zeroes the studentizer)
+    rank_one = np.tile(S[0], (400, 1))
+    e = rng.normal(size=400)
+    for exposures in (S, rank_one):
+        a = exposures.T @ e
+        ref = _t2_gram_with_temporaries(a, G[1:2], exposures.T @ exposures, T2_CANCELLATION_RTOL)
+        got = _t2_gram(a, G[1:2], exposures.T @ exposures, T2_CANCELLATION_RTOL)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+        assert (got[1][0] == 0.0) == (exposures is rank_one)

@@ -53,3 +53,12 @@ def test_bootstrap_draw_block_peaks_no_higher_than_sign_changes():
         return _peak_bytes(lambda: scheme.draw_block(keys, None, None, g))
 
     assert peak(RecentredBootstrap()) <= peak(SignChange())
+
+
+def test_t2_test_peaks_below_three_and_a_half_draw_matrices():
+    # the draws, T2's G K and one work buffer for the studentizer's terms
+    L, J = 999, 200
+    d = make_design(seed=1, N=3000, J=J)
+    spec = TestSpec(b=0.0, statistic=Statistic.T2, scheme=SignChange(), L=L, seed=3)
+    ri_test(d, spec)
+    assert _peak_bytes(lambda: ri_test(d, spec)) < 3.5 * L * J * 8

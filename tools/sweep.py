@@ -14,7 +14,9 @@ sign changes (m = 0, 0.3; by cluster, m = 0, -0.2), permutations,
 the bootstrap and normal draws, T0 / T1 / clustered T1 / T2, the four
 sidednesses, three null values and demeaning, through ``ri_test``,
 ``exact_enumeration_test`` and ``berger_boos_test``; plus
-``stat_t1``/``stat_t2``, ``confidence_interval`` per design and
+``stat_t1``/``stat_t2``, ``confidence_interval`` per design, T1 and
+T2 tests and confidence sets on a wide Dirichlet design (N=3000,
+J=200, where the statistics' BLAS work is large) and
 ``size_experiment`` on the README's headline design (N=30, J=6, two
 dominant sectors).  Each record holds floats as hex, the sha256 of
 ``t_sims`` (or of the CI p-values), and an exception's class and
@@ -87,6 +89,7 @@ def designs() -> dict:
     }
     for s in range(6):
         out[f"dirichlet-{s}"] = lambda s=s: _dirichlet(s, 25, 8, s < 4)
+    out["wide"] = lambda: _dirichlet(0, 3000, 200, True)
     out["mc-size"] = None  # size_experiment builds its own datasets
     return out
 
@@ -167,6 +170,20 @@ def _design_records(name: str, d):
                 yield _record(key, lambda: _ci(ssr.confidence_interval(d, spec, grid)))
 
 
+def _wide_records(d):
+    """Sign-change T1 and T2 tests and 7-point confidence sets at J=200."""
+    grid = np.linspace(-2.0, 3.0, 7)
+    for tname in ("t1", "t2"):
+        for sided in ssr.Sidedness:
+            spec = ssr.TestSpec(
+                b=0.7, statistic=STATISTICS[tname][0], scheme=SCHEMES["sign"], L=199, seed=SEED,
+                sidedness=sided,
+            )
+            key = f"wide/sign/{tname}/{sided.value}"
+            yield _record(f"ri/{key}", lambda: _result(ssr.ri_test(d, spec)))
+            yield _record(f"ci/{key}", lambda: _ci(ssr.confidence_interval(d, spec, grid)))
+
+
 def _mc_records():
     dgp = mc.DGPSpec(N=30, J=6, exposure_design=mc.Concentrated(k_dominant=2))
     sign = ssr.SignChange()
@@ -185,6 +202,8 @@ def records(names=None):
     for name in names or builders:
         if name == "mc-size":
             yield from _mc_records()
+        elif name == "wide":
+            yield from _wide_records(builders[name]())
         else:
             yield from _design_records(name, builders[name]())
 
