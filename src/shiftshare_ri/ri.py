@@ -32,15 +32,14 @@ from .design import ShiftShareDesign, null_residuals
 from .errors import ConfigError, DataValidationError, DegenerateDrawError
 from .estimator import Statistic, _Draws, _NullStatistic
 from .rng import draw_keys, keyed_generators
-from .schemes import ENUMERATION_LIMIT, KnownDistribution, SignChange, SimulationScheme, check_enumerable
+from .schemes import ENUMERATION_BLOCK, ENUMERATION_LIMIT, KnownDistribution, SignChange, SimulationScheme
+from .schemes import check_enumerable
 
 # Replacement attempts per degenerate draw before giving up; the global
 # budget is therefore at most 10 * L discarded draws.
 MAX_ATTEMPTS_PER_DRAW = 10
 
-# Exact enumeration evaluates the group this many elements at a time, so
-# its temporaries stay a few MB however large the group is.
-_ENUM_BLOCK = 2**14
+_ENUM_BLOCK = ENUMERATION_BLOCK  # tests shrink it to walk small groups in several blocks
 
 
 class Sidedness(enum.Enum):
@@ -328,7 +327,8 @@ def exact_enumeration_test(design: ShiftShareDesign, spec: TestSpec) -> RITestRe
     """Enumerate the statistic over the whole transformation group.
 
     Walks the scheme's ``group`` (sign changes and permutations, up to
-    ``ENUMERATION_LIMIT`` elements) in blocks of ``_ENUM_BLOCK`` elements.
+    ``ENUMERATION_LIMIT`` elements) in blocks of ``_ENUM_BLOCK`` (that is
+    ``ENUMERATION_BLOCK``) elements.
     The p-value is the fraction of group elements at least as extreme as
     the identity element, whose value from the same evaluation (not from
     a one-row evaluation, which can differ in the last bits) is reported

@@ -14,7 +14,11 @@ normal and user-supplied samplers call ``draw`` once per row on one
 reusable generator reset to each key.
 
 Sign changes and permutations also define the finite group that exact
-enumeration walks (``group``; see :func:`check_enumerable`).
+enumeration walks (``group``; see :func:`check_enumerable`), block by
+block, ``ENUMERATION_BLOCK`` elements at a time.  A returned block is
+valid until the next call; permutation blocks come on consecutive
+ranges.  Sign-change blocks are built from one reused template of
+``ENUMERATION_BLOCK`` rows.
 
 Schemes also report per-coordinate moments (mean, second, fourth) of
 their draws, which feed the asymptotic-condition diagnostics.  For the
@@ -35,7 +39,10 @@ from .errors import ConfigError, DataValidationError, EnumerationSizeError
 from .rng import DOMAIN_MOMENTS, bounded_integers, keyed_generators, sign_bits, stream
 
 ENUMERATION_LIMIT = 2**20  # the largest group that exact enumeration walks
-
+_LIMIT = f"2^{ENUMERATION_LIMIT.bit_length() - 1}"
+# Enumeration evaluates a group this many elements at a time, so its
+# temporaries stay a few MB however large the group is.
+ENUMERATION_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -182,21 +189,41 @@ class SignChange(SimulationScheme):
 
     def group(self, g, cluster_ids=None):
         """The 2^n sign patterns (per sector or cluster) as ``(size, identity,
-        block)``: ``block(lo, hi)`` gives elements lo..hi-1, element k putting
-        +1 on sign i when bit i of k is set; the identity (last) is g itself."""
+        block)``: ``block(lo, hi)`` gives elements lo..hi-1, F-ordered,
+        element k putting +1 on sign i when bit i of k is set; the identity
+        (last) is g itself.  The rows of elements 0..t-1, t = min(size,
+        ``ENUMERATION_BLOCK``), are built once.  Element k repeats row k mod
+        t but for the signs on bits log2(t) and up, which are constant over
+        each aligned run of t elements.  Such a run is returned in that one
+        reused buffer; other ranges are copied from it into a fresh array.
+        A returned block is valid until the next call."""
         n, index = self._sign_map(g.shape[0], cluster_ids)
         size = 2**n
         if size > ENUMERATION_LIMIT:
-            raise EnumerationSizeError(f"sign-change group has 2^{n} elements, over the 2^20 limit")
-        shifts = np.arange(n)
+            raise EnumerationSizeError(f"sign-change group has 2^{n} elements, over the {_LIMIT} limit")
+        t = min(size, ENUMERATION_BLOCK)
+        bit = np.arange(n)[index]  # the sign bit of each sector
+        high = bit >= t.bit_length() - 1
+        k = np.arange(t, dtype=np.int64)
+        # F-ordered, as every block is: matrix products round by layout.
+        rows = self.apply(np.asfortranarray(((k[:, None] >> bit) & 1) * 2.0 - 1.0), g)
+        last = rows[-1].copy()
 
         def block(lo: int, hi: int) -> np.ndarray:
-            k = np.arange(lo, hi, dtype=np.int64)
-            # F-ordered, as kappa[:, clusters] is: matrix products round by layout.
-            G = self.apply(np.asfortranarray((((k[:, None] >> shifts) & 1) * 2.0 - 1.0)[:, index]), g)
+            reuse = lo % t == 0 and hi - lo == t
+            out = rows if reuse else np.empty((hi - lo, g.shape[0]), order="F")
+            for base in range(lo - lo % t, hi, t):
+                start, stop = max(lo, base), min(hi, base + t)
+                seg = out[start - lo : stop - lo]
+                if not reuse:
+                    seg[:] = rows[start - base : stop - base]
+                if size > t:  # the signs on bits log2(t) and up; undo an earlier identity
+                    if stop - base == t:
+                        seg[-1] = last
+                    seg[:, high] = self.apply(((base >> bit[high]) & 1) * 2.0 - 1.0, g[high])
             if hi == size:
-                G[-1] = g
-            return G
+                out[-1] = g
+            return out
 
         return size, size - 1, block
 
@@ -218,11 +245,12 @@ class Permutation(SimulationScheme):
     def group(self, g, cluster_ids=None):
         """The J! permutations in ``itertools.permutations`` order, identity
         first, as ``(size, identity, block)``; call ``block`` on consecutive
-        ranges from 0, since it walks one iterator."""
+        ranges from 0, since it walks one iterator.  A returned block is
+        valid until the next call."""
         J = g.shape[0]
         size = math.factorial(J)
         if size > ENUMERATION_LIMIT:
-            raise EnumerationSizeError(f"permutation group has {J}! elements, over the 2^20 limit")
+            raise EnumerationSizeError(f"permutation group has {J}! elements, over the {_LIMIT} limit")
         perms = itertools.permutations(range(J))
         return size, 0, lambda lo, hi: g[np.array(list(itertools.islice(perms, hi - lo)), dtype=np.intp)]
 

@@ -43,6 +43,16 @@ def test_sign_change_enumeration_peaks_below_one_group_by_sectors_matrix():
     assert _peak_bytes(lambda: exact_enumeration_test(d, spec)) < 8 * 2**J * J
 
 
+def test_sign_change_enumeration_peaks_below_values_and_three_blocks():
+    # values, valid and three (block, J) float64 matrices: the reused
+    # block buffer and two evaluation temporaries
+    J, block = 18, 2**14
+    d = make_design(seed=2, N=60, J=J)
+    spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=1)
+    exact_enumeration_test(d, spec)
+    assert _peak_bytes(lambda: exact_enumeration_test(d, spec)) < 8 * 2**J + 2**J + 3 * block * J * 8
+
+
 def test_bootstrap_draw_block_peaks_no_higher_than_sign_changes():
     L, J = 999, 200
     g = np.random.default_rng(4).normal(size=J)

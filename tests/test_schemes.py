@@ -7,12 +7,14 @@ import pytest
 from shiftshare_ri import (
     ConfigError,
     DataValidationError,
+    EnumerationSizeError,
     IIDNormal,
     KnownDistribution,
     Permutation,
     RecentredBootstrap,
     SignChange,
 )
+from shiftshare_ri.schemes import ENUMERATION_BLOCK
 
 
 def test_sign_change_preserves_magnitude_about_m():
@@ -205,6 +207,47 @@ def test_by_cluster_group_flips_whole_clusters():
             assert np.unique(signs[labels == c]).size == 1
     with pytest.raises(DataValidationError, match="cluster labels"):
         scheme.group(g)
+
+
+def _wide_groups():
+    """Sign-change groups over several enumeration blocks: 2^16 sector
+    signs with m = 0.1, and 16 clusters over 40 sectors (unsorted labels)."""
+    g = np.concatenate([G_OFF, np.random.default_rng(7).normal(size=12)])
+    yield SignChange(m=0.1), g, None
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.arange(40) % 16) * 3 + 5
+    yield SignChange(m=-0.2, by_cluster=True), rng.normal(size=40), labels
+
+
+@pytest.mark.parametrize("scheme, g, labels", list(_wide_groups()))
+def test_wide_sign_change_group_blocks_in_any_call_order(scheme, g, labels):
+    # blocks come from one reused buffer: each is checked when returned,
+    # and the last block's identity row must not leak into a later block
+    t = ENUMERATION_BLOCK
+    size, identity, block = scheme.group(g, labels)
+    assert (size, identity) == (2**16, 2**16 - 1)
+    sign_of = slice(None) if labels is None else np.unique(labels, return_inverse=True)[1]
+    assert not np.array_equal(scheme.apply(np.ones(g.size), g), g)  # so a leaked identity shows
+
+    def expected(k):
+        return g if k == identity else scheme.apply(_bit_signs(k, 16)[sign_of], g)
+
+    calls = [(size - t, size), (0, t), (2 * t, 3 * t), (2 * t, 3 * t), (t - 3, t + 5), (size - 6, size)]
+    for lo, hi in calls:
+        rows = block(lo, hi)
+        assert rows.shape == (hi - lo, g.size) and rows.flags.f_contiguous
+        for k in {0, t - 1, t, 2 * t + 3, size - 2, identity, lo, hi - 1}:
+            if lo <= k < hi:
+                assert rows[k - lo].tobytes() == expected(k).tobytes(), (lo, hi, k)
+
+
+def test_groups_over_the_limit_name_it():
+    with pytest.raises(EnumerationSizeError) as signs:
+        SignChange().group(np.ones(21))
+    assert str(signs.value) == "sign-change group has 2^21 elements, over the 2^20 limit"
+    with pytest.raises(EnumerationSizeError) as perms:
+        Permutation().group(np.ones(10))
+    assert str(perms.value) == "permutation group has 10! elements, over the 2^20 limit"
 
 
 def test_permutation_group_order_and_identity():

@@ -22,3 +22,10 @@ def test_sweep_slice_is_reproducible():
     changed[val - 1] = {"id": second[val]["id"], "error": ["ConfigError", "changed"]}
     diffs = sweep.compare(first, changed)
     assert {kind: len(lines) for kind, lines in diffs.items()} == {"missing": 2, "message": 1, "outcome": 1}
+
+
+def test_enum_wide_piece_is_reproducible():
+    # a group of 2^15 elements: two enumeration blocks
+    first = list(sweep.enum_records("j15"))
+    assert len(first) == 24 and all("value" in r for r in first)
+    assert sweep.compare(first, list(sweep.enum_records("j15"))) == {}

@@ -16,11 +16,12 @@ sidednesses, three null values and demeaning, through ``ri_test``,
 ``exact_enumeration_test`` and ``berger_boos_test``; plus
 ``stat_t1``/``stat_t2``, ``confidence_interval`` per design, T1 and
 T2 tests and confidence sets on a wide Dirichlet design (N=3000,
-J=200, where the statistics' BLAS work is large) and
-``size_experiment`` on the README's headline design (N=30, J=6, two
-dominant sectors).  Each record holds floats as hex, the sha256 of
-``t_sims`` (or of the CI p-values), and an exception's class and
-message in place of values.  ``--designs`` runs a slice of the grid.
+J=200, where the statistics' BLAS work is large), exact enumeration
+of sign-change groups larger than one enumeration block (J = 15, 16,
+18, and 16 clusters over 40 sectors) and ``size_experiment`` on the
+README's headline design (N=30, J=6, two dominant sectors).  Each
+record holds floats as hex, the sha256 of ``t_sims`` (or of the CI
+p-values), and an exception's class and message in place of values.  ``--designs`` runs a slice of the grid.
 """
 
 from __future__ import annotations
@@ -60,7 +61,17 @@ STATISTICS = {
 }
 
 
-def _dirichlet(seed: int, N: int, J: int, reduced_form: bool):
+# name -> (seed, N, J, clusters, signs by cluster) of the enum-wide
+# slice's designs, whose sign-change groups span several enumeration blocks
+ENUM_WIDE = {
+    "j15": (15, 40, 15, 3, False),
+    "j16": (16, 40, 16, 3, False),
+    "j18": (18, 60, 18, 3, False),
+    "cluster16": (40, 80, 40, 16, True),
+}
+
+
+def _dirichlet(seed: int, N: int, J: int, reduced_form: bool, clusters: int = 3):
     """Random design with unsorted, non-contiguous cluster labels."""
     rng = np.random.default_rng(1000 + seed)
     S = rng.dirichlet(np.ones(J), size=N)
@@ -68,7 +79,7 @@ def _dirichlet(seed: int, N: int, J: int, reduced_form: bool):
     Z = S @ g
     X = None if reduced_form else 0.8 * Z + 0.5 * rng.normal(size=N)
     Y = 0.7 * (Z if X is None else X) + rng.normal(size=N)
-    cluster_ids = rng.permutation(np.arange(J) % 3) * 5 + 2
+    cluster_ids = rng.permutation(np.arange(J) % clusters) * 5 + 2
     return ssr.ShiftShareDesign.from_arrays(Y, X, S, g, cluster_ids=cluster_ids)
 
 
@@ -90,6 +101,7 @@ def designs() -> dict:
     for s in range(6):
         out[f"dirichlet-{s}"] = lambda s=s: _dirichlet(s, 25, 8, s < 4)
     out["wide"] = lambda: _dirichlet(0, 3000, 200, True)
+    out["enum-wide"] = None  # see ENUM_WIDE
     out["mc-size"] = None  # size_experiment builds its own datasets
     return out
 
@@ -184,6 +196,25 @@ def _wide_records(d):
             yield _record(f"ci/{key}", lambda: _ci(ssr.confidence_interval(d, spec, grid)))
 
 
+def enum_records(name: str):
+    """Exact sign-change enumeration on the ``ENUM_WIDE`` design ``name``:
+    T0 / T1 / T2, m = 0 and 0.3, two sidednesses, with and without
+    demeaning; signs by cluster on the clustered design."""
+    seed, N, J, clusters, by_cluster = ENUM_WIDE[name]
+    d = _dirichlet(seed, N, J, True, clusters)
+    for m in (0.0, 0.3):
+        scheme = ssr.SignChange(m=m, by_cluster=by_cluster)
+        for tname in ("t0", "t1", "t2"):
+            for sided in (ssr.Sidedness.TWO_SIDED_ABS, ssr.Sidedness.LEFT_TAIL):
+                for demean in (False, True):
+                    spec = ssr.TestSpec(
+                        b=0.7, statistic=STATISTICS[tname][0], scheme=scheme, L=1, seed=SEED,
+                        sidedness=sided, demean=demean,
+                    )
+                    key = f"enum-wide/{name}/m={m}/{tname}/{sided.value}/demean={demean}"
+                    yield _record(key, lambda: _result(ssr.exact_enumeration_test(d, spec)))
+
+
 def _mc_records():
     dgp = mc.DGPSpec(N=30, J=6, exposure_design=mc.Concentrated(k_dominant=2))
     sign = ssr.SignChange()
@@ -204,6 +235,9 @@ def records(names=None):
             yield from _mc_records()
         elif name == "wide":
             yield from _wide_records(builders[name]())
+        elif name == "enum-wide":
+            for piece in ENUM_WIDE:
+                yield from enum_records(piece)
         else:
             yield from _design_records(name, builders[name]())
 
