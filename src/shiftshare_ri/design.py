@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +77,21 @@ class NullResiduals:
     e_b: np.ndarray
 
 
+class _AffineSums(NamedTuple):
+    """The sector residual sums as a function of the null value b:
+    ``S'(Y - b X) = a0 - b a1`` with ``a0 = S'Y`` and ``a1 = S'X``;
+    ``abs0 = S'|Y|`` and ``abs1 = S'|X|`` bound their rounding, and
+    ``lo`` and ``hi`` are the smallest nonzero and the largest magnitude
+    in Y, X and S."""
+
+    a0: np.ndarray
+    a1: np.ndarray
+    abs0: np.ndarray
+    abs1: np.ndarray
+    lo: float
+    hi: float
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftShareDesign:
     """A validated shift-share sample.
@@ -102,7 +118,9 @@ class ShiftShareDesign:
     gram : ndarray, shape (J, J)
         Read-only exposure Gram matrix ``S' S``, computed on first use
         and cached; it lets the T2 statistic be evaluated at sector
-        level, without N-length simulated instruments.
+        level, without N-length simulated instruments.  The sector sums
+        ``S'Y`` and ``S'X``, which give the residual sums at every null
+        value, are cached beside it.
     unit_labels, sector_labels : tuple of str, optional
         Identifiers carried through from ingestion, used for error
         reporting and round-trip serialization.
@@ -132,6 +150,19 @@ class ShiftShareDesign:
         K = self.S.T @ self.S
         K.flags.writeable = False
         return K
+
+    @cached_property
+    def _affine_sums(self) -> _AffineSums:
+        S = self.S
+        sums = [S.T @ v for v in (self.Y, self.X, np.abs(self.Y), np.abs(self.X))]
+        for v in sums:
+            v.flags.writeable = False
+        vectors = np.abs(np.concatenate([self.Y, self.X]))
+        lo = min(
+            float(np.min(vectors, where=vectors > 0, initial=np.inf)),
+            float(np.min(S, where=S > 0, initial=np.inf)),
+        )
+        return _AffineSums(*sums, lo=lo, hi=max(float(vectors.max()), float(S.max())))
 
     def __post_init__(self):
         for name in ("Y", "X", "g", "Z"):

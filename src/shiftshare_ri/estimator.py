@@ -23,7 +23,11 @@ any matrix of shock vectors, the observed row included; ``stat_t1``,
 ``a`` depends on the null value, so it splits each statistic into the
 work on the shock rows alone (demeaning, ``G * G``, T2's ``G K`` and
 ``g*'K g*``) and the work with ``a``: a confidence set prepares its
-draws once for its whole grid.
+draws once for its whole grid.  Since ``a(b) = S'Y - b S'X``, each
+prepared draw's numerator and squared studentizer are also polynomials
+in b: ``_Coefficients`` holds their per-draw coefficients and bounds how
+far the values they give can lie from the values ``evaluate_prepared``
+computes.
 """
 
 from __future__ import annotations
@@ -396,6 +400,166 @@ class _NullStatistic:
         valid = np.isfinite(num) & np.isfinite(den) & (den > ZERO_STUDENTIZER)
         values = np.where(valid, num / np.where(valid, den, 1.0), np.nan)
         return values, valid
+
+    def coefficients(self, D: _Draws) -> _Coefficients | None:
+        """The per-draw coefficients in b of the statistic on draws from
+        :meth:`prepare` (see :class:`_Coefficients`), or None when a
+        magnitude in Y, X, S or the draws lies outside ``_FILTER_RANGE``.
+        T2's (L, J) work buffer serves as scratch."""
+        sums = self.design._affine_sums
+        G = D.G
+        absG = np.abs(G, out=D.work if D.work is not None else None)
+        lo = min(sums.lo, float(np.min(absG, where=absG > 0, initial=np.inf)))
+        hi = max(sums.hi, float(absG.max(initial=0.0)))
+        if lo < _FILTER_RANGE[0] or hi > _FILTER_RANGE[1]:
+            return None
+        a = np.stack([sums.a0, sums.a1], axis=1)
+        A = np.stack([sums.abs0, sums.abs1], axis=1)
+        nu = (self.design.N + self.design.J + 4) * _UNIT_ROUNDOFF  # k = _FILTER_SAFETY gamma_n
+        coef = _Coefficients(self.design.N, _FILTER_SAFETY * nu / (1.0 - nu), _rows(G @ a), _rows(absG @ A))
+        if self.statistic is Statistic.T1 and self.members is None:
+            coef.den2, coef.den2_scale = _rows(D.GG @ _squares(a)), _rows(D.GG @ _squares(A))
+        elif self.statistic is Statistic.T1:
+            M = self.members
+            coef.den2 = _cluster_squares([(G * a[:, k]) @ M for k in (0, 1)])
+            coef.den2_scale = _cluster_squares([(absG * A[:, k]) @ M for k in (0, 1)])
+        elif self.statistic is Statistic.T2:
+            W = np.multiply(G, G, out=absG)
+            coef.den2, coef.den2_scale = _rows(W @ _squares(a)), _rows(W @ _squares(A))
+            np.multiply(W, D.KG, out=W)
+            coef.cross = _rows(W @ a)
+            np.multiply(G, D.KG, out=W)
+            coef.r = np.square(W, out=W).sum(axis=1)
+            coef.sr, coef.ssq = np.sqrt(coef.r), D.ssq
+        return coef
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """The columns of an (L, m) product as m contiguous rows."""
+    return np.ascontiguousarray(x.T)
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """(J, 3) columns ``a0^2, a0 a1, a1^2`` of the (J, 2) columns a0, a1."""
+    return np.stack([a[:, 0] * a[:, 0], a[:, 0] * a[:, 1], a[:, 1] * a[:, 1]], axis=1)
+
+
+def _cluster_squares(sums: list[np.ndarray]) -> np.ndarray:
+    """(3, L) coefficients of ``sum_c (p0 - b p1)_c^2`` from the (L, C) pair p0, p1."""
+    p0, p1 = sums
+    return np.stack([(p0 * p0).sum(axis=1), (p0 * p1).sum(axis=1), (p1 * p1).sum(axis=1)])
+
+
+# The confidence-set filter (_Coefficients) decides a draw only where every
+# nonzero magnitude in Y, X, S, the draws and b lies in this range, so that
+# no product or sum of its error analysis under- or overflows.
+_FILTER_RANGE = (2.0**-100, 2.0**100)
+_OVERFLOW_GUARD = 2.0**1000
+# Safety factor on the filter's first-order error bounds, whose constants
+# are at most 12.
+_FILTER_SAFETY = 1e4
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+@dataclass(eq=False)
+class _Coefficients:
+    """A statistic on prepared draws as a function of the null value b,
+    with a margin that bounds its distance from the value
+    :meth:`_NullStatistic.evaluate_prepared` computes at b.
+
+    The sector residual sums are ``a(b) = a0 - b a1`` (the design's
+    ``_affine_sums``), so each draw g (a prepared row) has coefficients:
+
+    - numerator ``g'a(b) = n0 - b n1`` (``num``);
+    - T1: ``den^2 = sum_j g_j^2 a_j(b)^2 = P0 - 2b P1 + b^2 P2``; with
+      the clustered studentizer, ``sum_c (sum_{j in c} g_j a_j(b))^2``
+      has the same form (``den2``);
+    - T2: with ``c = num / ssq``, ``ssq = g'Kg``, ``den^2 = P(b) - 2c Q(b)
+      + c^2 R``, where P is T1's, ``Q(b) = sum_j g_j^2 (Kg)_j a_j(b) = Q0
+      - b Q1`` (``cross``) and ``R = sum_j g_j^2 (Kg)_j^2`` (``r``);
+    - T0: the numerator over N.
+
+    Error bound.  Let u be the unit roundoff, n = N + J + 4 and
+    ``gamma_n = n u / (1 - n u)``.  Both a(b) as the engine computes it,
+    ``S'(Y - b X)``, and ``a0 - b a1`` lie within ``gamma_n Abar(b)`` of
+    the exact a(b), componentwise, where ``Abar(b) = S'|Y| + |b| S'|X|``
+    (``abs0``, ``abs1``); a(b) itself cannot serve as the scale, since it
+    cancels.  By the standard forward-error bounds of sums and dot
+    products (Higham 2002, ch. 3), to first order:
+
+    - the two numerators lie within ``4 gamma_n s`` of each other, with
+      ``s(b) = sum_j |g_j| Abar_j(b)`` (``num_scale``);
+    - the two T1 ``den^2`` within ``8 gamma_n H``, where H is ``den^2``
+      with every ``a_j(b)`` replaced by ``Abar_j(b)`` and every product
+      by its magnitude: ``H0 + 2|b| H1 + b^2 H2`` (``den2_scale``);
+    - the two T2 ``den^2`` within ``12 gamma_n rho^2 + 4 sqrt(R) dc den
+      + 3 R dc^2``, where ``rho = sqrt(H) + (|c| + dc) sqrt(R)`` bounds
+      the studentizer and its terms and ``dc = 3 gamma_n s / ssq`` bounds
+      the rounding of c.
+
+    The margins put ``k = _FILTER_SAFETY gamma_n`` in place of each
+    ``c gamma_n``: ``E_n = k s`` and ``E_d = k H`` (T1) or ``k rho^2 +
+    dc' sqrt(R) (dc' sqrt(R) + 6 d~)`` with ``dc' = k s / ssq`` (T2),
+    where d~^2 is the approximate ``den^2``; 6 d~ bounds 4 den once
+    ``d~^2 > 2 E_d``.  With ``d_lo^2 = d~^2 - E_d``, the value t~ = num /
+    d~ then lies within ``E_n / d_lo + |t~| E_d / (d_lo (d~ + d_lo)) + 8 u
+    |t~|`` of the engine's value (the last term covers the final square
+    roots and divisions).  Where ``d~^2 > 64 E_d``, so that ``d_lo >=
+    0.99 d~`` (and ``d_lo > ZERO_STUDENTIZER``), that is at most the
+    draw's margin
+
+        (1.01 E_n + |num| (0.51 E_d / d~^2 + 8 u)) / d~.
+
+    The margin is infinite, so that the draw is never decided, inside
+    that cancellation band, for T2 where ``ssq <= 0``, where H or
+    ``rho^2`` (s for T0) exceeds ``_OVERFLOW_GUARD`` and at b other than
+    0 outside ``_FILTER_RANGE``.  A draw with a finite margin has a valid
+    engine value, whose comparison with any number farther than the
+    margin from t~ comes out as t~'s does.
+    """
+
+    N: int
+    k: float
+    num: np.ndarray
+    num_scale: np.ndarray
+    den2: np.ndarray | None = None
+    den2_scale: np.ndarray | None = None
+    cross: np.ndarray | None = None
+    r: np.ndarray | None = None
+    sr: np.ndarray | None = None
+    ssq: np.ndarray | None = None
+
+    def at(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, margins), shape (len(bs), L): row i holds each
+        draw's value and margin at null value ``bs[i]``."""
+        k = self.k
+        b = np.asarray(bs, dtype=np.float64)[:, None]
+        ab, one = np.abs(b), np.ones_like(b)
+        with np.errstate(all="ignore"):
+            num = np.hstack([one, -b]) @ self.num
+            e_n = np.hstack([k * one, k * ab]) @ self.num_scale
+            if self.den2 is None:
+                t = num / float(self.N)
+                margin = e_n / self.N + 8.0 * _UNIT_ROUNDOFF * np.abs(t)
+                clear = e_n <= k * _OVERFLOW_GUARD
+            else:
+                d2 = np.hstack([one, -2.0 * b, b * b]) @ self.den2
+                scale = np.hstack([one, 2.0 * ab, ab * ab]) @ self.den2_scale
+                if self.ssq is None:
+                    e_d = k * scale
+                else:
+                    c, dc = num / self.ssq, e_n / self.ssq
+                    d2 -= 2.0 * c * (np.hstack([one, -b]) @ self.cross)
+                    d2 += c * c * self.r
+                    scale = (np.sqrt(scale) + (np.abs(c) + dc) * self.sr) ** 2
+                    e_d = k * scale + dc * self.sr * (dc * self.sr + 6.0 * np.sqrt(d2))
+                    e_d[:, self.ssq <= 0] = np.inf
+                d = np.sqrt(d2)
+                t = num / d
+                margin = (1.01 * e_n + np.abs(num) * (0.51 * e_d / d2 + 8.0 * _UNIT_ROUNDOFF)) / d
+                clear = (d2 > 64.0 * e_d) & (scale <= _OVERFLOW_GUARD)
+            clear &= (b == 0) | ((ab >= _FILTER_RANGE[0]) & (ab <= _FILTER_RANGE[1]))
+        return t, np.where(clear, margin, np.inf)
 
 
 def stat_t1(design: ShiftShareDesign, b: float, clustered: bool = False) -> float:

@@ -10,7 +10,9 @@ The two forms agree on every instance, ties included; both are exposed.
 The statistics themselves, observed and simulated, are defined in
 :mod:`shiftshare_ri.estimator` and the transformation groups in
 :mod:`shiftshare_ri.schemes`; this module draws, counts and decides.  A
-confidence set draws and prepares its shocks once for its whole grid.
+confidence set draws and prepares its shocks once for its whole grid,
+and counts a point from per-draw coefficients in b wherever rounding
+cannot flip a count.
 
 Determinism contract: each draw l has its own counter-based generator
 keyed by (seed, draw domain, l), so extending L keeps the first draws
@@ -40,6 +42,17 @@ from .schemes import check_enumerable
 MAX_ATTEMPTS_PER_DRAW = 10
 
 _ENUM_BLOCK = ENUMERATION_BLOCK  # tests shrink it to walk small groups in several blocks
+
+# A confidence set counts its points from per-draw coefficients in b when
+# the design has at least this many sectors.  With fewer, the exact batch
+# at a point (a few passes over the (L, J) draws) costs no more than the
+# coefficients' passes over L values, and a draw that ties t_obs at every
+# point (all signs +1 or -1, the identity permutation) is likely among L.
+_FILTER_MIN_SECTORS = 64
+# The coefficients are evaluated at this many (draw, grid point) pairs at
+# a time: whole blocks of points amortise the per-call cost while the
+# arrays stay about 128 KB.
+_FILTER_CHUNK = 2**14
 
 
 class Sidedness(enum.Enum):
@@ -158,20 +171,32 @@ def psi(values, sidedness: Sidedness):
     raise ConfigError("equal-tail tests are decided per side; psi is undefined for them")
 
 
-def _tail_p(t_obs: float, values: np.ndarray, valid, sidedness: Sidedness, offset: int) -> float:
-    """(offset + #{valid, psi(v) >= psi(t_obs)}) / (#{valid} + offset):
-    values not marked ``valid`` are conditioned out.
-
-    Equal-tail tests report min(1, 2*min(p_right, p_left)); since both
-    scalings are exact, that is <= alpha exactly when one side's
-    p-value is <= alpha/2.
-    """
+def _sides(sidedness: Sidedness) -> tuple[Sidedness, ...]:
+    """The one-sided comparisons a test counts: both tails for equal-tail
+    tests."""
     if sidedness is Sidedness.EQUAL_TAIL:
-        sides = (Sidedness.RIGHT_TAIL, Sidedness.LEFT_TAIL)
-        return min(1.0, 2.0 * min(_tail_p(t_obs, values, valid, s, offset) for s in sides))
-    extreme = valid & (psi(values, sidedness) >= psi(t_obs, sidedness))
+        return (Sidedness.RIGHT_TAIL, Sidedness.LEFT_TAIL)
+    return (sidedness,)
+
+
+def _count_p(counts: list[int], n: int, sidedness: Sidedness, offset: int) -> float:
+    """(offset + K) / (n + offset) from the count K of each side of
+    :func:`_sides`.  Equal-tail tests report min(1, 2*min(p_right,
+    p_left)); since both scalings are exact, that is <= alpha exactly
+    when one side's p-value is <= alpha/2."""
+    ps = [(offset + k) / (n + offset) for k in counts]
+    return min(1.0, 2.0 * min(ps)) if sidedness is Sidedness.EQUAL_TAIL else ps[0]
+
+
+def _tail_p(t_obs: float, values: np.ndarray, valid, sidedness: Sidedness, offset: int) -> float:
+    """(offset + #{valid, psi(v) >= psi(t_obs)}) / (#{valid} + offset)
+    per side (:func:`_count_p`): values not marked ``valid`` are
+    conditioned out."""
     n_valid = int(np.count_nonzero(valid)) if np.ndim(valid) else values.shape[0]
-    return (offset + int(np.count_nonzero(extreme))) / (n_valid + offset)
+    counts = [
+        int(np.count_nonzero(valid & (psi(values, s) >= psi(t_obs, s)))) for s in _sides(sidedness)
+    ]
+    return _count_p(counts, n_valid, sidedness, offset)
 
 
 def p_value_from_stats(t_obs: float, t_sims: np.ndarray, sidedness: Sidedness) -> float:
@@ -251,11 +276,12 @@ class _NullProblem(_NullStatistic):
     group elements out of its counts.
     """
 
-    def __init__(self, design: ShiftShareDesign, spec: TestSpec):
+    def __init__(self, design: ShiftShareDesign, spec: TestSpec, b: float | None = None):
         if isinstance(spec.scheme, SignChange) and spec.scheme.by_cluster and design.cluster_ids is None:
             raise DataValidationError("by_cluster sign changes need cluster_ids on the design")
         self.spec = spec
-        super().__init__(design, spec.b, spec.statistic, spec.cluster_studentizer, spec.demean)
+        b = spec.b if b is None else b
+        super().__init__(design, b, spec.statistic, spec.cluster_studentizer, spec.demean)
 
     def simulate(self, draws: _Draws, scheme: SimulationScheme) -> tuple[np.ndarray, int]:
         """Statistics of the draws of ``scheme``, prepared by
@@ -292,6 +318,28 @@ class _NullProblem(_NullStatistic):
         sided = self.spec.sidedness
         p = p_value_from_stats(self.t_obs, t_sims, sided)
         return p, reject_by_order_statistic(self.t_obs, t_sims, self.spec.alpha, sided)
+
+    def decide_by_count(self, values: np.ndarray, margins: np.ndarray) -> tuple[float, bool] | None:
+        """:meth:`decide`'s p-value and decision from approximate draw
+        values, each within its margin of the value :meth:`simulate`
+        would give (:class:`~shiftshare_ri.estimator._Coefficients`), or
+        None when some draw's psi lies within its margin of psi(t_obs).
+
+        A draw farther than its margin lies on the same side of t_obs
+        as the exact value, so each side's count K = #{psi(v) >=
+        psi(t_obs)} is exact: p = (1 + K)/(L + 1), and the order
+        statistic rejects exactly when K < ``critical_count``, per side
+        at alpha/2 for equal-tail tests."""
+        sided, L = self.spec.sidedness, values.shape[0]
+        counts = []
+        for side in _sides(sided):
+            gap = psi(values, side) - psi(self.t_obs, side)
+            if not np.all(np.abs(gap) > margins):
+                return None
+            counts.append(int(np.count_nonzero(gap > 0)))
+        alpha = self.spec.alpha / 2 if sided is Sidedness.EQUAL_TAIL else self.spec.alpha
+        c = critical_count(alpha, L)
+        return _count_p(counts, L, sided, 1), any(k < c for k in counts)
 
 
 def ri_test(
@@ -446,9 +494,18 @@ def confidence_interval(
     every grid point, so interval endpoints move with the data rather
     than with simulation jitter.  They are prepared once per confidence
     set (:meth:`_NullProblem.prepare`: the demeaned draws, and T2's
-    product with the Gram matrix), and each point evaluates them at its
-    own residuals and decides as :func:`ri_test` does, with the same
-    values.  ``threads`` is accepted but does not change results.
+    product with the Gram matrix), and on designs with at least
+    ``_FILTER_MIN_SECTORS`` sectors so are their coefficients in b
+    (:meth:`_NullProblem.coefficients`).  Each point builds its own null
+    problem, so its observed statistic and errors are :func:`ri_test`'s.
+    When every draw's value from the coefficients lies farther from the
+    observed statistic than its rounding margin, the point's p-value
+    and decision come from that count
+    (:meth:`_NullProblem.decide_by_count`).  Otherwise, and for
+    ``KnownDistribution`` draws, which are redrawn at each point, the
+    point evaluates the draws at its own residuals and decides as
+    :func:`ri_test` does.  Either way the results are :func:`ri_test`'s,
+    bit for bit.  ``threads`` is accepted but does not change results.
     """
     b_grid = np.asarray(b_grid, dtype=np.float64)
     if b_grid.ndim != 1 or b_grid.size == 0:
@@ -468,18 +525,27 @@ def confidence_interval(
     p_values = np.empty(b_grid.shape)
     retained = np.empty(b_grid.shape, dtype=bool)
     total_redraws = 0
-    draws = None
-    for i, b in enumerate(b_grid):
-        point = replace(spec, b=float(b))
-        null = _NullProblem(design, point)
+    draws = coefficients = None
+    chunk = max(1, _FILTER_CHUNK // spec.L)
+    for i, b in enumerate(b_grid.tolist()):
+        null = _NullProblem(design, spec, b)
         if shared is None:
-            draws = null.prepare(generate_draws(design, spec.scheme, spec.L, spec.seed, b=point.b))
+            draws = null.prepare(generate_draws(design, spec.scheme, spec.L, spec.seed, b=b))
         elif draws is None:
             draws = null.prepare(shared)
-        t_sims, n_redraws = null.simulate(draws, spec.scheme)
-        p_values[i], reject = null.decide(t_sims)
+            if design.J >= _FILTER_MIN_SECTORS:
+                coefficients = null.coefficients(draws)
+        decision = None
+        if coefficients is not None:
+            if i % chunk == 0:
+                values, margins = coefficients.at(b_grid[i : i + chunk])
+            decision = null.decide_by_count(values[i % chunk], margins[i % chunk])
+        if decision is None:
+            t_sims, n_redraws = null.simulate(draws, spec.scheme)
+            decision = null.decide(t_sims)
+            total_redraws += n_redraws
+        p_values[i], reject = decision
         retained[i] = not reject
-        total_redraws += n_redraws
 
     if retained.any():
         vals = b_grid[retained]

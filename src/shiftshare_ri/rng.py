@@ -13,7 +13,8 @@ streams.  The engine computes the same streams in one batch:
 :func:`draw_keys` reproduces, for an array of draw indices, the Philox
 key that ``SeedSequence(seed, spawn_key=(DOMAIN_SCHEME_DRAW, l))``
 derives; :func:`philox_words` evaluates the Philox4x64-10 output blocks
-of all those keys at once; :func:`sign_bits` reads the draws of
+of all those keys at once (for wide rows, key by key from one reset bit
+generator); :func:`sign_bits` reads the draws of
 ``Generator.integers(0, 2, size=n)`` from them (sign changes), and
 :func:`bounded_integers` those of ``Generator.integers(0, high, size=n)``
 (bootstrap indices), flagging the rare rows it cannot compute; and
@@ -160,14 +161,32 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m * x
 
 
+# Above this many blocks per key, resetting one ``Philox`` to each key and
+# reading its raw output is faster than the vectorised rounds, whose cost
+# grows with the width of the (keys, blocks) arrays.
+_ROW_ROUTE_BLOCKS = 14
+
+
 def philox_words(keys: np.ndarray, n_blocks: int) -> np.ndarray:
     """The first ``4 * n_blocks`` raw 64-bit outputs of the Philox
     stream of each key, shape (n_keys, 4 * n_blocks) uint64.
 
     A ``Philox`` bit generator starts at counter 0 and increments the
     counter before computing each block, so its first blocks are those
-    of counters 1, 2, ..., each giving four words in order.
+    of counters 1, 2, ..., each giving four words in order.  Up to
+    ``_ROW_ROUTE_BLOCKS`` blocks per key they are computed for all keys
+    at once (:func:`_philox_rounds`); wider rows are read key by key from
+    one reset bit generator (:func:`_philox_rows`).  Both give the same
+    words.
     """
+    if int(n_blocks) > _ROW_ROUTE_BLOCKS:
+        return _philox_rows(keys, n_blocks)
+    return _philox_rounds(keys, n_blocks)
+
+
+def _philox_rounds(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """:func:`philox_words` by ten vectorised Philox rounds over every
+    (key, counter) pair."""
     keys = np.asarray(keys, dtype=np.uint64)
     shape = (keys.shape[0], int(n_blocks))
     c0 = np.broadcast_to(np.arange(1, n_blocks + 1, dtype=np.uint64), shape)
@@ -184,19 +203,33 @@ def philox_words(keys: np.ndarray, n_blocks: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=2).reshape(keys.shape[0], 4 * shape[1])
 
 
+def _philox_rows(keys: np.ndarray, n_blocks: int) -> np.ndarray:
+    """:func:`philox_words` read row by row: the raw output of a ``Philox``
+    bit generator reset to the start of each key's stream."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((keys.shape[0], 4 * int(n_blocks)), dtype=np.uint64)
+    for row, rng in zip(out, keyed_generators(keys)):
+        row[:] = rng.bit_generator.random_raw(row.shape[0])
+    return out
+
+
+def _halves(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit words of raw 64-bit outputs, the low half of each first:
+    a view on little-endian machines."""
+    return raw.astype("<u8", copy=False).view("<u4")
+
+
 def sign_bits(keys: np.ndarray, n: int) -> np.ndarray:
     """The values of ``Generator.integers(0, 2, size=n)`` as the first
-    call on each key's fresh stream, shape (n_keys, n) uint64 of 0/1.
+    call on each key's fresh stream, shape (n_keys, n) uint32 of 0/1.
 
     For a range of two, Lemire's bounded method never rejects and
     returns bit 31 of each 32-bit word; the 32-bit words are the low,
-    then the high half of each raw 64-bit output.  So value k is bit 31
-    (k even) or bit 63 (k odd) of raw word k // 2.
+    then the high half of each raw 64-bit output.
     """
-    n_words = (int(n) + 1) // 2
-    raw = philox_words(keys, -(-n_words // 4))[:, :n_words]
-    bits = np.stack([(raw >> 31) & 1, raw >> 63], axis=2)
-    return bits.reshape(raw.shape[0], 2 * n_words)[:, : int(n)]
+    n = int(n)
+    raw = philox_words(keys, -(-n // 8))
+    return _halves(raw)[:, :n] >> 31
 
 
 def bounded_integers(keys: np.ndarray, high: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,15 +250,11 @@ def bounded_integers(keys: np.ndarray, high: int, n: int) -> tuple[np.ndarray, n
     high, n = int(high), int(n)
     if not 1 <= high < 2**32:
         raise ValueError(f"high must lie in [1, 2**32), got {high}")
-    n_words = (n + 1) // 2
-    raw = philox_words(keys, -(-n_words // 4))
-    words = np.empty((raw.shape[0], 2 * n_words), dtype=np.uint64)
-    np.bitwise_and(raw[:, :n_words], _MASK32, out=words[:, 0::2])
-    np.right_shift(raw[:, :n_words], 32, out=words[:, 1::2])
+    raw = philox_words(keys, -(-n // 8))
+    words = _halves(raw)[:, :n].astype(np.uint64)
     del raw
-    words = words[:, :n]
     words *= np.uint64(high)
-    rejected = ((words & _MASK32) < (2**32 - high) % high).any(axis=1)
+    rejected = (_halves(words)[:, 0::2] < (2**32 - high) % high).any(axis=1)
     words >>= np.uint64(32)
     return words.view(np.int64), rejected
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,14 +11,17 @@ from shiftshare_ri import (
     KnownDistribution,
     Permutation,
     RecentredBootstrap,
+    ShiftShareDesign,
     Sidedness,
     SignChange,
     Statistic,
     TestSpec,
     confidence_interval,
+    load_design,
     ri_test,
     shift_share_estimate,
 )
+from shiftshare_ri import ri as ri_module
 from dataclasses import replace
 
 
@@ -182,3 +187,68 @@ def test_grid_points_match_standalone_tests_with_redraws(statistic):
     spec = spec_ci(statistic=statistic, scheme=RecentredBootstrap(), L=299)
     res = assert_points_are_standalone_tests(d, spec, np.linspace(-2.0, 2.0, 9))
     assert res.n_degenerate_redraws > 0
+
+
+# A confidence set counts a point from per-draw coefficients in b when no
+# draw lies within rounding of t_obs; otherwise the point runs the exact
+# batch (_NullProblem.simulate).  Either way the point is ri_test's.
+
+
+def spy_on_exact_batch(monkeypatch):
+    calls = []
+    real = ri_module._NullProblem.simulate
+
+    def simulate(self, draws, scheme):
+        calls.append(self.t_obs)
+        return real(self, draws, scheme)
+
+    monkeypatch.setattr(ri_module._NullProblem, "simulate", simulate)
+    return calls
+
+
+@pytest.mark.parametrize("statistic", [Statistic.T1, Statistic.T2])
+def test_wide_confidence_set_counts_every_point_from_coefficients(monkeypatch, statistic):
+    d = make_design(seed=1, N=3000, J=200)
+    spec = spec_ci(statistic=statistic, L=999, alpha=0.05, seed=3)
+    grid = np.linspace(-0.5, 2.0, 21)
+    calls = spy_on_exact_batch(monkeypatch)
+    res = confidence_interval(d, spec, grid)
+    assert calls == []
+    assert res.retained.any() and not res.retained.all()
+    assert_points_are_standalone_tests(d, spec, grid)
+
+
+def test_a_draw_equal_to_g_sends_every_point_to_the_exact_batch(monkeypatch):
+    # bundled data, seed 6: sign draw 40 is all +1, so that draw is g and
+    # ties t_obs up to rounding at every null value
+    data = Path(__file__).parent.parent / "demos" / "data"
+    d = load_design(data / "outcomes.csv", data / "exposures.csv", data / "shocks.csv")
+    spec = spec_ci(L=999, alpha=0.05, seed=6)
+    assert (ri_module.generate_draws(d, spec.scheme, spec.L, spec.seed)[40] == d.g).all()
+    grid = np.linspace(-1.0, 3.0, 21)
+    # J = 12 is below the sectors the coefficients need to pay off
+    calls = spy_on_exact_batch(monkeypatch)
+    confidence_interval(d, replace(spec, seed=1), grid)
+    assert len(calls) == grid.size
+    monkeypatch.setattr(ri_module, "_FILTER_MIN_SECTORS", 2)
+    calls.clear()
+    confidence_interval(d, spec, grid)
+    assert len(calls) == grid.size
+    # without that draw (seed 1 has no all-equal signs) no point needs it
+    calls.clear()
+    confidence_interval(d, replace(spec, seed=1), grid)
+    assert calls == []
+    assert_points_are_standalone_tests(d, spec, grid)
+
+
+@pytest.mark.parametrize("scale, exact_points", [(2.0**90, 0), (2.0**110, 21)])
+def test_magnitudes_outside_the_filter_range_take_the_exact_batch(monkeypatch, scale, exact_points):
+    # the coefficients' error bounds need every magnitude within 2^+-100
+    base = make_design(seed=4, N=200, J=64)
+    d = ShiftShareDesign.from_arrays(scale * base.Y, None, base.S, base.g)
+    spec = spec_ci(statistic=Statistic.T2, L=199, alpha=0.05)
+    grid = np.linspace(-3.0, 4.0, 21)
+    calls = spy_on_exact_batch(monkeypatch)
+    confidence_interval(d, spec, grid)
+    assert len(calls) == exact_points
+    assert_points_are_standalone_tests(d, spec, grid)

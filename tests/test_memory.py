@@ -16,6 +16,7 @@ from shiftshare_ri import (
     ri_test,
 )
 from shiftshare_ri.rng import draw_keys
+from shiftshare_ri.schemes import ENUMERATION_BLOCK
 
 
 def _peak_bytes(fn):
@@ -51,6 +52,18 @@ def test_sign_change_enumeration_peaks_below_values_and_three_blocks():
     spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=1)
     exact_enumeration_test(d, spec)
     assert _peak_bytes(lambda: exact_enumeration_test(d, spec)) < 8 * 2**J + 2**J + 3 * block * J * 8
+
+
+def test_sign_change_enumeration_peaks_below_values_and_three_enumeration_blocks():
+    # at the block size enumeration uses, the p-value's count is the peak:
+    # values, valid, psi(values) and two masks, and three (block, J)
+    # float64 matrices
+    J = 18
+    d = make_design(seed=2, N=60, J=J)
+    spec = TestSpec(b=0.0, statistic=Statistic.T1, scheme=SignChange(), L=1)
+    exact_enumeration_test(d, spec)
+    bound = 2 * 8 * 2**J + 3 * 2**J + 3 * ENUMERATION_BLOCK * J * 8
+    assert _peak_bytes(lambda: exact_enumeration_test(d, spec)) < bound
 
 
 def test_bootstrap_draw_block_peaks_no_higher_than_sign_changes():

@@ -4,11 +4,18 @@ Every built-in scheme's batched ``draw_block`` equals the per-draw
 reference ``draw`` on ``draw_stream(seed, l)``, row for row and byte
 for byte, and the first rows of a block do not change when L grows.
 The p-value and order-statistic decision rules agree for every
-sidedness, ties included, and ``ri_test`` decides by them.
+sidedness, ties included, and ``ri_test`` decides by them.  Every point
+of a confidence set is the stand-alone ``ri_test`` at that null value,
+also where the null residuals cancel.
 The examples are derandomized (see ``conftest.py``).
 """
 
+import re
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,14 +24,18 @@ from shiftshare_ri import (
     IIDNormal,
     Permutation,
     RecentredBootstrap,
+    ShiftShareDesign,
+    ShiftShareError,
     Sidedness,
     SignChange,
     Statistic,
     TestSpec,
+    confidence_interval,
     reject_by_order_statistic,
     reject_by_pvalue,
     ri_test,
 )
+from shiftshare_ri import ri as ri_module
 from shiftshare_ri.rng import draw_keys, draw_stream
 
 SEEDS = st.integers(0, 2**64 - 1)
@@ -105,3 +116,57 @@ def test_ri_test_decides_by_the_pvalue_rule(seed, L, alpha, sidedness, statistic
     )
     res = ri_test(design, spec)
     assert res.reject == reject_by_pvalue(res.t_obs, res.t_sims, alpha, sidedness)
+
+
+CI_STATISTICS = {
+    "t0": (Statistic.T0, False),
+    "t1": (Statistic.T1, False),
+    "t1c": (Statistic.T1, True),
+    "t2": (Statistic.T2, False),
+}
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(CI_STATISTICS)),
+    st.sampled_from(Sidedness),
+    st.booleans(),
+    st.floats(-1.0, 1.0),
+    st.booleans(),
+    st.sampled_from(["sign", "permutation", "bootstrap"]),
+)
+def test_confidence_set_points_are_standalone_tests(seed, stat, sidedness, demean, m, cancel, scheme):
+    # with cancel, Y = b0 X + 1e-12 noise, and b0 is a grid point: the null
+    # residuals there are rounding-sized and the sector sums cancel
+    rng = np.random.default_rng(seed)
+    N, J = int(rng.integers(2, 31)), int(rng.integers(2, 11))
+    S = rng.dirichlet(np.ones(J), size=N)
+    g = rng.normal(size=J)
+    X = S @ g
+    b0 = float(rng.normal())
+    Y = b0 * X + (1e-12 if cancel else 1.0) * rng.normal(size=N)
+    d = ShiftShareDesign.from_arrays(Y, None, S, g, cluster_ids=rng.integers(0, 3, size=J))
+    schemes = {"sign": SignChange(m=m), "permutation": Permutation(), "bootstrap": RecentredBootstrap()}
+    spec = TestSpec(
+        b=0.0, statistic=CI_STATISTICS[stat][0], cluster_studentizer=CI_STATISTICS[stat][1],
+        scheme=schemes[scheme], L=int(rng.integers(1, 100)), alpha=0.1, sidedness=sidedness,
+        seed=seed, demean=demean,
+    )
+    grid = np.sort(np.append(np.linspace(b0 - 2.0, b0 + 2.0, 8), b0))
+    try:
+        # count from the per-draw coefficients at any number of sectors
+        with mock.patch.object(ri_module, "_FILTER_MIN_SECTORS", 2):
+            res = confidence_interval(d, spec, grid)
+    except ShiftShareError as exc:
+        # the first point whose test raises, raises the same error
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            for b in grid:
+                ri_test(d, replace(spec, b=float(b)))
+        return
+    redraws = 0
+    for i, b in enumerate(grid):
+        solo = ri_test(d, replace(spec, b=float(b)))
+        assert res.p_values[i].tobytes() == np.float64(solo.p_value).tobytes(), (i, b)
+        assert res.retained[i] == (not solo.reject)
+        redraws += solo.n_degenerate_redraws
+    assert res.n_degenerate_redraws == redraws

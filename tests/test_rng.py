@@ -91,6 +91,19 @@ def test_philox_words_are_the_raw_stream(seed):
         npt.assert_array_equal(row, draw_stream(seed, int(l)).bit_generator.random_raw(12))
 
 
+@pytest.mark.parametrize("n_blocks", (1, 2, 13, 14, 15, 16, 25, 60))
+def test_philox_routes_give_the_same_words(n_blocks):
+    # philox_words takes the vectorised rounds up to _ROW_ROUTE_BLOCKS
+    # blocks per key and the per-row bit generator above; force both
+    keys = draw_keys(2**63 + 7, INDICES)
+    rounds = rng_module._philox_rounds(keys, n_blocks)
+    assert rounds.dtype == np.uint64 and rounds.shape == (INDICES.size, 4 * n_blocks)
+    assert rng_module._philox_rows(keys, n_blocks).tobytes() == rounds.tobytes()
+    assert philox_words(keys, n_blocks).tobytes() == rounds.tobytes()
+    # sign rows as wide as the words stay C-ordered
+    assert SignChange().sign_block(keys, 8 * n_blocks).flags.c_contiguous
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 8, 9, 200))
 def test_sign_block_equals_per_draw_signs(seed, n):

@@ -16,12 +16,14 @@ sidednesses, three null values and demeaning, through ``ri_test``,
 ``exact_enumeration_test`` and ``berger_boos_test``; plus
 ``stat_t1``/``stat_t2``, ``confidence_interval`` per design, T1 and
 T2 tests and confidence sets on a wide Dirichlet design (N=3000,
-J=200, where the statistics' BLAS work is large), exact enumeration
-of sign-change groups larger than one enumeration block (J = 15, 16,
-18, and 16 clusters over 40 sectors) and ``size_experiment`` on the
-README's headline design (N=30, J=6, two dominant sectors).  Each
-record holds floats as hex, the sha256 of ``t_sims`` (or of the CI
-p-values), and an exception's class and message in place of values.  ``--designs`` runs a slice of the grid.
+J=200, where the statistics' BLAS work is large), 21-point confidence
+sets on that design and on one whose outcomes cancel at a grid point
+(``ci-wide``), exact enumeration of sign-change groups larger than one
+enumeration block (J = 15, 16, 18, and 16 clusters over 40 sectors) and
+``size_experiment`` on the README's headline design (N=30, J=6, two
+dominant sectors).  Each record holds floats as hex, the sha256 of
+``t_sims`` (or of the CI p-values), and an exception's class and message
+in place of values.  ``--designs`` runs a slice of the grid.
 """
 
 from __future__ import annotations
@@ -71,14 +73,15 @@ ENUM_WIDE = {
 }
 
 
-def _dirichlet(seed: int, N: int, J: int, reduced_form: bool, clusters: int = 3):
-    """Random design with unsorted, non-contiguous cluster labels."""
+def _dirichlet(seed: int, N: int, J: int, reduced_form: bool, clusters: int = 3, noise: float = 1.0):
+    """Random design with unsorted, non-contiguous cluster labels, and
+    outcomes 0.7 X plus ``noise`` times standard normal errors."""
     rng = np.random.default_rng(1000 + seed)
     S = rng.dirichlet(np.ones(J), size=N)
     g = rng.normal(size=J)
     Z = S @ g
     X = None if reduced_form else 0.8 * Z + 0.5 * rng.normal(size=N)
-    Y = 0.7 * (Z if X is None else X) + rng.normal(size=N)
+    Y = 0.7 * (Z if X is None else X) + noise * rng.normal(size=N)
     cluster_ids = rng.permutation(np.arange(J) % clusters) * 5 + 2
     return ssr.ShiftShareDesign.from_arrays(Y, X, S, g, cluster_ids=cluster_ids)
 
@@ -101,6 +104,7 @@ def designs() -> dict:
     for s in range(6):
         out[f"dirichlet-{s}"] = lambda s=s: _dirichlet(s, 25, 8, s < 4)
     out["wide"] = lambda: _dirichlet(0, 3000, 200, True)
+    out["ci-wide"] = None  # see ci_wide_records
     out["enum-wide"] = None  # see ENUM_WIDE
     out["mc-size"] = None  # size_experiment builds its own datasets
     return out
@@ -196,6 +200,28 @@ def _wide_records(d):
             yield _record(f"ci/{key}", lambda: _ci(ssr.confidence_interval(d, spec, grid)))
 
 
+def ci_wide_records():
+    """21-point sign-change confidence sets, L = 999, T0 / T1 / T2, four
+    sidednesses, with and without demeaning, on the wide design and on
+    a wide design whose outcomes are 0.7 Z plus 1e-12 noise, where the
+    grid point b = 0.7 leaves null residuals of rounding size."""
+    cancel_grid = np.sort(np.append(np.linspace(-0.3, 1.7, 20), 0.7))
+    designs = {
+        "wide": (_dirichlet(0, 3000, 200, True), np.linspace(-2.0, 3.0, 21)),
+        "cancel": (_dirichlet(0, 3000, 200, True, noise=1e-12), cancel_grid),
+    }
+    for name, (d, grid) in designs.items():
+        for tname in ("t0", "t1", "t2"):
+            for sided in ssr.Sidedness:
+                for demean in (False, True):
+                    spec = ssr.TestSpec(
+                        b=0.0, statistic=STATISTICS[tname][0], scheme=SCHEMES["sign"], L=999, seed=SEED,
+                        sidedness=sided, demean=demean,
+                    )
+                    key = f"ci-wide/{name}/{tname}/{sided.value}/demean={demean}"
+                    yield _record(key, lambda: _ci(ssr.confidence_interval(d, spec, grid)))
+
+
 def enum_records(name: str):
     """Exact sign-change enumeration on the ``ENUM_WIDE`` design ``name``:
     T0 / T1 / T2, m = 0 and 0.3, two sidednesses, with and without
@@ -235,6 +261,8 @@ def records(names=None):
             yield from _mc_records()
         elif name == "wide":
             yield from _wide_records(builders[name]())
+        elif name == "ci-wide":
+            yield from ci_wide_records()
         elif name == "enum-wide":
             for piece in ENUM_WIDE:
                 yield from enum_records(piece)
